@@ -139,6 +139,10 @@ def _cmd_typeset(args) -> int:
     extra = []
     for desc in args.order or []:
         order = parse_order_descriptor(desc, S.generators)
+        if not order.label.startswith("apery:"):
+            raise ValueError(
+                f"extra typeset orderings must be apery:... descriptors, got {desc!r}"
+            )
         body = order.label.split(":", 1)[1].split(",")
         if body[0] != f"j={len(S.generators)}":
             raise ValueError("extra typeset orderings must target a_k")

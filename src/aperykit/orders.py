@@ -235,7 +235,9 @@ def parse_order_descriptor(text: str, weights) -> OrderSpec:
     ``block:lambda=<i-i-...>`` (1-based generator indices).  ``weights`` is
     the generator list fixing the ambient variable count; for the block
     form the generators must be coordinate tuples, and the ordering is
-    built for the layout that puts the Lambda generators last.
+    built for the layout that puts the Lambda generators last.  With fewer
+    than 10 generators the dashes of ``inner`` may be left out
+    (``inner=132``); from 10 on they are required.
     """
     text = text.strip()
     k = len(weights)
@@ -262,6 +264,11 @@ def parse_order_descriptor(text: str, weights) -> OrderSpec:
                 j = int(part[2:])
             elif part.startswith("inner="):
                 raw = part[len("inner=") :]
+                if k >= 10 and "-" not in raw and len(raw) > 1:
+                    # digit splitting cannot tell inner=12 from y_12
+                    raise ValueError(
+                        f"inner={raw} is ambiguous with {k} generators; separate indices with '-'"
+                    )
                 pieces = raw.split("-") if "-" in raw else list(raw)
                 inner = tuple(int(p) for p in pieces)
             elif part in ("lex", "revlex"):

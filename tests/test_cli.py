@@ -102,6 +102,15 @@ class TestTypeset:
         assert report["type_set"] == [32]
         assert len(report["extremal"]) == 4
 
+    def test_non_apery_order_is_a_user_error(self, capsys):
+        code, _, err = run(
+            capsys, "typeset", "--gens", "3,7,11", "--order", "lex", "--format", "json"
+        )
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["kind"] == "user"
+        assert "apery:" in payload["error"]
+
 
 class TestAffine:
     def test_two_dimensional_example(self, capsys):

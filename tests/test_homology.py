@@ -1,17 +1,23 @@
 """Homology route: complexes from membership, exact ranks, PF detection."""
 
+import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from aperykit import homology
+from aperykit.errors import ScanLimitError
 from aperykit.homology import (
     Face,
     SimplicialComplex,
+    _rank_exact,
     build_delta,
     pf_via_homology,
     reduced_homology_ranks,
 )
-from aperykit.semigroup import NumericalSemigroup, contains, pf_bruteforce
+from aperykit.sampling import random_semigroup
+from aperykit.semigroup import NumericalSemigroup, contains, gaps, pf_bruteforce
 
 
 def complex_from(faces, k):
@@ -127,3 +133,114 @@ class TestPfViaHomology:
     def test_requires_k_at_least_2(self):
         with pytest.raises(ValueError):
             pf_via_homology(NumericalSemigroup([1]))
+
+
+def fraction_rank(rows):
+    """Textbook Gaussian elimination over Q, the reference for _rank_exact."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col] / mat[rank][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+class TestRankKernel:
+    def test_matches_fraction_elimination(self):
+        rng = random.Random(20240917)
+        for _ in range(400):
+            n_rows, n_cols = rng.randint(0, 7), rng.randint(1, 7)
+            rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(n_cols)]
+                    for _ in range(n_rows)]
+            if rows and rng.random() < 0.3:  # a zero column
+                c = rng.randrange(n_cols)
+                for row in rows:
+                    row[c] = 0
+            if rows and rng.random() < 0.3:  # a zero row
+                rows[rng.randrange(n_rows)] = [0] * n_cols
+            if len(rows) >= 2 and rng.random() < 0.5:  # a dependent row
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+            assert _rank_exact(rows) == fraction_rank(rows), rows
+
+    def test_fixed_cases(self):
+        assert _rank_exact([]) == 0
+        assert _rank_exact([[0, 0], [0, 0]]) == 0
+        assert _rank_exact([[2, 4], [3, 6]]) == 1
+        assert _rank_exact([[0, 6], [4, 0], [2, 3]]) == 2
+        assert _rank_exact([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
+
+
+def seeded_monoids():
+    rng = random.Random(20240917 + 7)
+    bands = {5: 30, 6: 24, 7: 20}
+    return [random_semigroup(rng, k, k, bands[k]) for k in (5, 6, 7) for _ in range(3)]
+
+
+class TestEulerPretest:
+    def test_rejected_gaps_are_not_spheres(self):
+        rejected = 0
+        for S in seeded_monoids():
+            k = len(S.generators)
+            sphere = tuple(1 if i == k - 1 else 0 for i in range(k + 1))
+            for x in gaps(S):
+                D = build_delta(S, x + sum(S.generators))
+                euler = sum((-1) ** (len(f) - 1) for f in D.faces)
+                if euler != (-1) ** (k - 2):
+                    rejected += 1
+                    assert reduced_homology_ranks(D) != sphere, (S, x)
+        assert rejected
+
+    def test_matches_bruteforce(self):
+        for S in seeded_monoids():
+            assert pf_via_homology(S) == pf_bruteforce(S)
+
+    def test_route_builds_every_complex_through_the_public_functions(self, monkeypatch):
+        # one build_delta per gap; reduced_homology_ranks only past the pre-test
+        built, ranked = [], []
+        real_build, real_ranks = homology.build_delta, homology.reduced_homology_ranks
+        monkeypatch.setattr(
+            homology, "build_delta", lambda S, a: built.append(a) or real_build(S, a)
+        )
+        monkeypatch.setattr(
+            homology, "reduced_homology_ranks", lambda C: ranked.append(C) or real_ranks(C)
+        )
+        S = NumericalSemigroup([3, 5, 7])
+        assert pf_via_homology(S) == [2, 4]
+        assert built == [x + 15 for x in gaps(S)]
+        assert 2 <= len(ranked) <= len(built)
+
+    def test_closure_checked_on_rejected_complexes(self, monkeypatch):
+        # <2,3>, gap 1, a = 6: drop face {1} (6 - 2) and add {1,2} (6 - 5);
+        # the Euler sum is -1, not the sphere's 1, so only closure catches it
+        real = homology.contains
+        monkeypatch.setattr(
+            homology, "contains", lambda S, n: n == 1 or (n != 4 and real(S, n))
+        )
+        with pytest.raises(ValueError, match="downward closed"):
+            pf_via_homology(NumericalSemigroup([2, 3]))
+
+
+class TestBudget:
+    def test_scan_limit_covers_the_route(self, monkeypatch):
+        S = NumericalSemigroup([5, 7, 9])  # genus 8: 8 x 2^3 = 64 tests
+        monkeypatch.setenv("APERYKIT_MAX_SCAN", "63")
+        with pytest.raises(ScanLimitError):
+            pf_via_homology(S)
+        monkeypatch.setenv("APERYKIT_MAX_SCAN", "64")
+        assert pf_via_homology(S) == pf_bruteforce(S)
+
+    def test_budget_checked_before_any_complex(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(homology, "contains", lambda *a: calls.append(a))
+        monkeypatch.setenv("APERYKIT_MAX_SCAN", "100")  # genus 23 x 2^5 = 736
+        with pytest.raises(ScanLimitError):
+            pf_via_homology(NumericalSemigroup([11, 13, 15, 17, 19]))
+        assert calls == []

@@ -223,6 +223,18 @@ class TestDescriptors:
         o2 = parse_order_descriptor("apery:j=2", (7, 9, 11))
         assert o2.label == "apery:j=2,inner=1-3,lex"
 
+    def test_undashed_inner_below_ten_generators(self):
+        o = parse_order_descriptor("apery:j=3,inner=12", (5, 7, 9))
+        assert o.rows == parse_order_descriptor("apery:j=3,inner=1-2", (5, 7, 9)).rows
+        assert o.label == "apery:j=3,inner=1-2,lex"
+
+    def test_undashed_inner_rejected_from_ten_generators(self):
+        gens = tuple(range(11, 21))
+        with pytest.raises(ValueError, match="ambiguous"):
+            parse_order_descriptor("apery:j=10,inner=12", gens)
+        o = parse_order_descriptor("apery:j=10,inner=9-8-7-6-5-4-3-2-1", gens)
+        assert o.label == "apery:j=10,inner=9-8-7-6-5-4-3-2-1,lex"
+
     def test_block(self):
         o = parse_order_descriptor("block:lambda=1,3", ((2, 0), (1, 1), (0, 2)))
         assert o.rows == block_lambda_order(2, ((1, 1), (2, 0), (0, 2)), 2).rows
