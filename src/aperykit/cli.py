@@ -15,6 +15,7 @@ invariant (which should never happen and means a bug).  With
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -32,12 +33,13 @@ from .semigroup import NumericalSemigroup
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we use 1
-        self.print_usage(sys.stderr)
-        raise _UsageError(message)
+        raise _UsageError(message, self.format_usage())
 
 
 class _UsageError(ValueError):
-    pass
+    def __init__(self, message, usage):
+        super().__init__(message)
+        self.usage = usage
 
 
 def _parse_gens(text: str) -> NumericalSemigroup:
@@ -115,8 +117,10 @@ def _cmd_apery(args) -> int:
         body = order.label.split(":", 1)[1].split(",")
         inner = tuple(int(p) for p in body[1][len("inner=") :].split("-"))
         flavor = body[2]
+    order = apery_order(len(S.generators), j, S.generators, inner=inner, flavor=flavor)
+    basis = buchberger(ideal_generators(S, order), order)
     report_obj = apery_mod.apery_delta(
-        S, j, inner=inner, flavor=flavor, method=args.strategy
+        S, j, inner=inner, flavor=flavor, method=args.strategy, basis=basis
     )
     report = {
         "generators": list(S.generators),
@@ -128,8 +132,7 @@ def _cmd_apery(args) -> int:
         "orders": [report_obj.order_used],
     }
     if args.dump_basis:
-        order = apery_order(len(S.generators), j, S.generators, inner=inner, flavor=flavor)
-        report["basis"] = _basis_payload(buchberger(ideal_generators(S, order), order))
+        report["basis"] = _basis_payload(basis)
     _emit(report, args.format)
     return 0
 
@@ -353,6 +356,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache  # argparse keeps no state between parses: one parser serves all
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="aperykit", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -425,25 +429,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    fmt = "text"
+def _requested_format(argv) -> str:
+    """The last ``--format`` value given in an argv that failed to parse."""
+    probe = _Parser(add_help=False)
+    probe.add_argument("--format", action="append", nargs="?", default=[])
     try:
-        args = parser.parse_args(argv)
-        fmt = getattr(args, "format", "text")
+        given = [f for f in probe.parse_known_args(argv)[0].format if f]
+    except _UsageError:
+        return "text"
+    return given[-1] if given else "text"
+
+
+def _report_error(exc: Exception, kind: str, fmt: str) -> int:
+    if fmt == "json":
+        print(json.dumps({"error": str(exc), "kind": kind}), file=sys.stderr)
+    else:
+        prefix = "error" if kind == "user" else "internal error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+    return 1 if kind == "user" else 2
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        fmt = _requested_format(argv)
+        if fmt != "json":
+            sys.stderr.write(exc.usage)
+        return _report_error(exc, "user", fmt)
+    try:
         return args.func(args)
-    except ValueError as exc:  # covers usage and every input-validation error
-        if fmt == "json":
-            print(json.dumps({"error": str(exc), "kind": "user"}), file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except ValueError as exc:  # every input-validation error
+        return _report_error(exc, "user", args.format)
     except InternalInvariantError as exc:
-        if fmt == "json":
-            print(json.dumps({"error": str(exc), "kind": "internal"}), file=sys.stderr)
-        else:
-            print(f"internal error: {exc}", file=sys.stderr)
-        return 2
+        return _report_error(exc, "internal", args.format)
 
 
 if __name__ == "__main__":

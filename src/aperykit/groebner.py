@@ -148,16 +148,16 @@ class PackedReducer:
 def buchberger(
     gens,
     order: OrderSpec,
-    strategy: str = "normal",
+    strategy: str = "fifo",
     use_chain_criterion: bool = True,
 ) -> GroebnerBasis:
     """Reduced basis of the binomial ideal generated by ``gens``.
 
-    ``strategy`` picks the pending S-pair: "normal" takes the pair with
-    the smallest lead-lcm (ties broken by creation index), "fifo" takes
-    pairs in creation order.  The reduced result is unique per
-    (ideal, order), so the strategies agree; the test suite asserts that
-    rather than trusting it.
+    ``strategy`` picks the pending S-pair: "fifo" (the default) takes
+    pairs in creation order, "normal" takes the pair with the smallest
+    lead-lcm (ties broken by creation index).  The reduced result is unique
+    per (ideal, order), so the strategies agree; the test suite asserts
+    that rather than trusting it, with "normal" as the cross-check.
 
     Pairs with coprime leads always reduce to zero and are never queued.
     With ``use_chain_criterion`` the queue is additionally pruned through

@@ -21,6 +21,12 @@ def random_semigroup(
         raise ValueError("need 1 <= kmin <= kmax")
     if max_gen < kmax + 1:
         raise ValueError("max_gen too small for the requested k range")
+    # k minimal generators need a_1 >= k, so the smallest set is k .. 2k-1;
+    # a range without such a k would retry forever
+    if max(kmin, 2) > min(kmax, (max_gen + 1) // 2):
+        raise ValueError(
+            f"no k in {kmin}..{kmax} has a minimal generating set inside [2, {max_gen}]"
+        )
     while True:
         k = rng.randint(kmin, kmax)
         gens = sorted(rng.sample(range(2, max_gen + 1), k))

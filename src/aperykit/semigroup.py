@@ -1,9 +1,13 @@
 """Numerical monoids and their classical invariants, straight from definitions.
 
-Everything in this module works by dynamic programming over an explicit
-membership table: no polynomial machinery is involved.  That makes these
-routines slow-ish but transparently correct, so they double as the oracle
-against which the staircase pipeline is validated.
+Everything in this module reads an explicit membership table: no
+polynomial machinery is involved, so these routines double as the oracle
+against which the staircase pipeline is validated.  The table is built as a
+bitset held in one Python integer: bit 0 is set, and the set is closed
+under adding each generator ``a`` by shift-ors with ``a, 2a, 4a, ...``, so
+a table of ``n`` entries takes ``k log2(n / a)`` big-integer operations
+instead of ``n k`` interpreted steps.  It is stored once as a 0/1
+``bytearray`` that the scans below index in place.
 
 A numerical monoid is the set of all nonnegative integer combinations of
 generators ``a_1 < ... < a_k`` with ``gcd(a_1, ..., a_k) = 1``.  Its gap set
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import InternalInvariantError, NotAMemberError, NotMinimalError, ScanLimitError
 
@@ -38,16 +43,26 @@ def max_scan_limit() -> int:
     return value
 
 
+_BITS_TO_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_COMPLEMENT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
 def _membership_table(generators, size):
     """Boolean table t with t[m] = 1 iff m is a Z>=0-combination of generators."""
-    table = bytearray(size)
-    table[0] = 1
-    for m in range(1, size):
-        for a in generators:
-            if m >= a and table[m - a]:
-                table[m] = 1
-                break
-    return table
+    mask = (1 << size) - 1
+    bits = 1
+    for a in generators:
+        # after the shifts by a, 2a, ..., 2^i a every member plus any
+        # multiple of a below 2^(i+1) a is in the set
+        step = a
+        while step < size:
+            bits |= (bits << step) & mask
+            step <<= 1
+    # binary digits come most significant first: reverse in place, then map
+    # the ASCII digits to 0/1 (two size-byte buffers alive at any time)
+    table = bytearray(format(bits, f"0{size}b"), "ascii")
+    table.reverse()
+    return table.translate(_BITS_TO_BYTES)
 
 
 class NumericalSemigroup:
@@ -128,7 +143,10 @@ def contains(S: NumericalSemigroup, n: int) -> bool:
     """Membership test; negative integers are never members."""
     if n < 0:
         return False
-    return bool(S._members_up_to(n)[n])
+    table = S._table
+    if n < len(table):
+        return table[n] == 1
+    return S._members_up_to(n)[n] == 1
 
 
 def gaps(S: NumericalSemigroup) -> list[int]:
@@ -139,20 +157,18 @@ def gaps(S: NumericalSemigroup) -> list[int]:
     no further gaps exist.
     """
     a1 = S.generators[0]
-    out: list[int] = []
-    run = 0
-    m = 0
+    run = b"\x01" * a1
     limit = max_scan_limit()
-    while run < a1:
-        m += 1
-        if m > limit:
-            raise ScanLimitError(f"gap scan exceeded APERYKIT_MAX_SCAN={limit}")
-        if contains(S, m):
-            run += 1
-        else:
-            run = 0
-            out.append(m)
-    return out
+    table = S._table
+    # the scan ends with the first run of a1 members after 0; while the
+    # table holds no such run, the scan would reach the table's end
+    start = table.find(run, 1)
+    while start < 0:
+        table = S._members_up_to(len(table))
+        start = table.find(run, 1)
+    if start + a1 - 1 > limit:
+        raise ScanLimitError(f"gap scan exceeded APERYKIT_MAX_SCAN={limit}")
+    return list(compress(range(1, start), table[1:start].translate(_COMPLEMENT)))
 
 
 def apery_bruteforce(S: NumericalSemigroup, s: int) -> list[int]:
@@ -163,20 +179,23 @@ def apery_bruteforce(S: NumericalSemigroup, s: int) -> list[int]:
     """
     if s <= 0 or not contains(S, s):
         raise NotAMemberError(f"{s} is not a nonzero element of {S!r}")
-    found: dict[int, int] = {}
-    m = 0
     limit = max_scan_limit()
-    while len(found) < s:
-        if m > limit:
-            raise ScanLimitError(f"Apery scan exceeded APERYKIT_MAX_SCAN={limit}")
-        if contains(S, m):
-            r = m % s
-            if r not in found:
-                found[r] = m
-        m += 1
-    elements = sorted(found.values())
+    table = S._table
+    # the least member of residue class r is the first 1 in table[r::s];
+    # while a class has none, the scan would reach the table's end
+    steps = [table[r::s].find(1) for r in range(s)]
+    while -1 in steps:
+        table = S._members_up_to(len(table))
+        steps = [i if i >= 0 else table[r::s].find(1) for r, i in enumerate(steps)]
+    elements = sorted(r + s * i for r, i in enumerate(steps))
     top = elements[-1]
-    lemma_set = [x for x in range(top + 1) if contains(S, x) and not contains(S, x - s)]
+    if top > limit:
+        raise ScanLimitError(f"Apery scan exceeded APERYKIT_MAX_SCAN={limit}")
+    # {x in S : x - s not in S}, one byte lane per integer up to top: the
+    # lanes hold 0 or 1, so the and-not carries nothing between lanes
+    members = int.from_bytes(table[: top + 1], "little")
+    lemma = members & ~(members << (8 * s))
+    lemma_set = list(compress(range(top + 1), lemma.to_bytes(top + 1, "little")))
     if lemma_set != elements:
         raise InternalInvariantError(
             f"Apery characterizations disagree for {S!r}, s={s}: {elements} vs {lemma_set}"
@@ -229,7 +248,17 @@ def pf_bruteforce(S: NumericalSemigroup) -> list[int]:
     if not gap_list:
         return [-1]
     gens = S.generators
-    return [x for x in gap_list if all(contains(S, x + a) for a in gens)]
+    table = S._table
+    out = []
+    for x in gap_list:
+        for a in gens:
+            if x + a >= len(table):
+                table = S._members_up_to(x + a)
+            if not table[x + a]:
+                break
+        else:
+            out.append(x)
+    return out
 
 
 def typeset_bruteforce(S: NumericalSemigroup) -> list[int]:
@@ -247,9 +276,8 @@ def hasse_diagram(S: NumericalSemigroup, s: int) -> list[tuple[int, int]]:
     The sinks of the resulting DAG for s = a_k are exactly the type set.
     """
     nodes = apery_bruteforce(S, s)
-    below = {
-        (x, y) for x in nodes for y in nodes if x != y and contains(S, y - x)
-    }
+    table = S._members_up_to(nodes[-1])
+    below = {(x, y) for x in nodes for y in nodes if y > x and table[y - x]}
     return sorted(
         (x, y)
         for (x, y) in below

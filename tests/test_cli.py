@@ -211,3 +211,41 @@ class TestUsage:
         code, _, err = run(capsys, "analyze", "--gens", "4,6")
         assert code == 1
         assert "gcd" in err
+
+
+class TestDumpBasis:
+    CASES = [
+        ("7,8,9,13", "13", None),
+        ("7,8,9,13", "13", "apery:j=4,inner=1-3-2,revlex"),
+        ("5,7,9", "7", None),
+    ]
+
+    @pytest.mark.parametrize("gens,wrt,order", CASES)
+    def test_one_buchberger_run_and_the_same_report(self, capsys, monkeypatch, gens, wrt, order):
+        import aperykit.apery
+        import aperykit.cli
+        from aperykit.orders import parse_order_descriptor
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].label)
+            return buchberger(*args, **kwargs)
+
+        monkeypatch.setattr(aperykit.cli, "buchberger", counted)
+        monkeypatch.setattr(aperykit.apery, "buchberger", counted)
+        argv = ["apery", "--gens", gens, "--wrt", wrt] + (["--order", order] if order else [])
+        dumped = run_json(capsys, *argv, "--dump-basis")
+        assert len(calls) == 1
+        plain = run_json(capsys, *argv)
+        assert len(calls) == 2
+
+        S = NumericalSemigroup([int(a) for a in gens.split(",")])
+        spec = parse_order_descriptor(dumped["orders"][0], S.generators)
+        # the reduced basis is unique, so the slower strategy must agree
+        ref = buchberger(ideal_generators(S, spec), spec, strategy="normal")
+        assert dumped.pop("basis") == {
+            "order": spec.label,
+            "elements": [{"lead": list(b.lead), "trail": list(b.trail)} for b in ref.elements],
+        }
+        assert dumped == plain
