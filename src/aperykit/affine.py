@@ -6,7 +6,8 @@ kernel ideal directly).  Given a subset Lambda of generators spanning the
 same rational cone, Ap(S, Lambda) = {a in S : a - b not in S for all b in
 Lambda} is finite, and it equals the set of weighted degrees of the
 staircase-complement points in the face where the x variables and the
-Lambda variables all vanish.
+Lambda variables all vanish, walked by the numerical route's own
+:func:`aperykit.groebner.face_complement`.
 
 Cone containment is certified by exact Fourier-Motzkin elimination over
 the rationals: for each generator outside Lambda it produces integers
@@ -21,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ConeMismatchError, InternalInvariantError
-from .groebner import Binomial, buchberger, divides, oriented
+from .groebner import Binomial, buchberger, face_complement, oriented
 from .orders import OrderSpec, block_lambda_order
 
 Point = tuple[int, ...]
@@ -215,10 +216,10 @@ def apery_affine(
     """Ap(S, Lambda) via the block ordering and its reduced basis.
 
     The staircase-complement points of the face where x and the Lambda
-    variables vanish are walked breadth-first (the complement is downward
-    closed); each free coordinate is bounded by a pure-power corner whose
-    existence follows from the cone certificates, and is checked.  The
-    weighted degrees of those points are exactly the Apery set.
+    variables vanish are walked by :func:`aperykit.groebner.face_complement`;
+    each free coordinate is bounded by a pure-power corner whose existence
+    follows from the cone certificates, and is checked.  The graded
+    degrees of those points are exactly the Apery set.
     """
     if lam is None:
         if indices is None:
@@ -228,41 +229,9 @@ def apery_affine(
     reordered = lam.reordered
     k = len(reordered)
     n = len(lam.indices)
-    m = d + k
     order = block_lambda_order(d, reordered, n, x_order=x_order)
     basis = buchberger(affine_ideal_generators(M, reordered, order), order)
-
-    free_cols = list(range(d, d + k - n))
-    face_corners = [
-        q
-        for q in basis.corners
-        if all(q[c] == 0 for c in range(m) if c not in free_cols)
-    ]
-    for c in free_cols:
-        if not any(
-            q[c] and all(q[e] == 0 for e in free_cols if e != c) for q in face_corners
-        ):
-            raise InternalInvariantError(
-                f"no pure-power corner bounds variable {c}; certificates broken"
-            )
-
-    reps: dict[Point, Exponent] = {}
-    origin = (0,) * m
-    seen = {origin}
-    frontier = [origin]
-    while frontier:
-        point = frontier.pop()
-        degree = graded_degree(point, d, reordered)
-        if degree in reps:
-            raise InternalInvariantError(f"degree {degree} reached twice in the face")
-        reps[degree] = point
-        for c in free_cols:
-            nxt = point[:c] + (point[c] + 1,) + point[c + 1 :]
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if not any(divides(q, nxt) for q in face_corners):
-                frontier.append(nxt)
+    reps = face_complement(basis, range(d, d + k - n), lambda v: graded_degree(v, d, reordered))
     return AffineAperyReport(
         monoid=M,
         lambda_indices=lam.indices,

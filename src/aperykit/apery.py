@@ -8,7 +8,8 @@ factorization of l over the generators.  Under the four-layer orderings
 of :func:`aperykit.orders.apery_order` more is true: l belongs to
 Ap(S, a_j) exactly when the normal form of x^l avoids both x and y_j.
 That equivalence is what this module executes, and what the oracle-based
-tests validate from the definitions.
+tests validate from the definitions.  The face walk and the corner test
+are :mod:`aperykit.groebner`'s, shared with the affine route.
 """
 
 from __future__ import annotations
@@ -18,20 +19,15 @@ from typing import NamedTuple
 
 from .errors import InternalInvariantError, OrderNotEliminationError, ScanLimitError
 from .groebner import (
-    GroebnerBasis,
-    PackedReducer,
-    buchberger,
-    divides,
-    ideal_generators,
-    phi_degree,
-    unpack_exponent,
+    GroebnerBasis, PackedReducer, buchberger, corner_test, face_complement, field_mask,
+    field_step, ideal_generators, pack_exponent, phi_degree, unpack_exponent,
 )
+# unused here, kept bound: perfbench/spans.py counts calls through this name
+from .groebner import divides  # noqa: F401
 from .orders import apery_order, is_elimination_for_x
 from .semigroup import NumericalSemigroup, max_scan_limit
 
 Exponent = tuple[int, ...]
-
-_FIELD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -65,16 +61,35 @@ class Classification(NamedTuple):
     exponent: Exponent
 
 
+def _require_elimination(basis: GroebnerBasis) -> None:
+    if not is_elimination_for_x(basis.order):
+        raise OrderNotEliminationError(
+            f"ordering {basis.order.label!r} does not eliminate x"
+        )
+
+
+def _x_powers(basis: GroebnerBasis, scan: str):
+    """Yield (l, packed normal form of x^l) for l = 0 .. APERYKIT_MAX_SCAN.
+
+    Each form is the last one times x, rewritten; reading on raises.
+    """
+    reducer = PackedReducer.for_basis(basis)
+    limit = max_scan_limit()
+    v = 0
+    for l in range(limit + 1):
+        if l:
+            v = reducer.reduce_packed(v + 1)
+        yield l, v
+    raise ScanLimitError(f"{scan} scan exceeded APERYKIT_MAX_SCAN={limit}")
+
+
 def classify(S: NumericalSemigroup, l: int, basis: GroebnerBasis) -> Classification:
     """Decide membership of l via the normal form of x^l.
 
     Returns the normal-form exponent alongside the verdict: membership
     exactly when its x-coordinate vanishes.
     """
-    if not is_elimination_for_x(basis.order):
-        raise OrderNotEliminationError(
-            f"ordering {basis.order.label!r} does not eliminate x"
-        )
+    _require_elimination(basis)
     if not 0 <= l <= max_scan_limit():
         raise ValueError(f"l must be in 0..APERYKIT_MAX_SCAN, got {l}")
     m = basis.order.num_vars
@@ -84,47 +99,33 @@ def classify(S: NumericalSemigroup, l: int, basis: GroebnerBasis) -> Classificat
 
 
 def gaps_via_groebner(S: NumericalSemigroup, basis: GroebnerBasis) -> list[int]:
-    """Gap list recovered by classifying x^l for l = 1 .. f(S).
+    """Gap list recovered by classifying x^l for l = 1, 2, ... off ``basis``.
 
-    The Frobenius bound comes from an Apery computation with respect to
-    the smallest generator (f = max Ap(S, a_1) - a_1), keeping this path
-    free of the brute-force oracle.
+    The scan stops after a_1 consecutive members, past which every integer
+    is a member, so no second basis or oracle call is needed to bound it.
     """
-    if not is_elimination_for_x(basis.order):
-        raise OrderNotEliminationError(
-            f"ordering {basis.order.label!r} does not eliminate x"
-        )
-    report = apery_delta(S, 1)
-    frobenius = report.elements[-1] - S.generators[0]
-    m = basis.order.num_vars
-    reducer = PackedReducer.for_basis(basis)
+    _require_elimination(basis)
+    x_field = field_mask((0,))
     out = []
-    v = 0
-    for l in range(1, frobenius + 1):
-        v = reducer.reduce_packed(v + 1)
-        if v & _FIELD:
+    for l, v in _x_powers(basis, "gap"):
+        if v & x_field:
             out.append(l)
-    return out
+        elif l - (out[-1] if out else 0) >= S.generators[0]:
+            return out
 
 
-def _delta_scan(S, j, basis, reducer) -> dict[int, Exponent]:
+def _delta_scan(S, j, basis) -> dict[int, Exponent]:
     """Walk l = 0, 1, 2, ... collecting the Apery elements of a_j.
 
-    The normal form of x^l is maintained incrementally (bump x, rewrite),
-    and an element is recorded when its exponent avoids x and y_j.  One
-    element per residue class mod a_j exists, so the walk stops after a_j
-    hits; a repeated residue class would falsify the theory and raises.
+    An element is recorded when the normal form of x^l avoids x and y_j.
+    One element per residue class mod a_j exists, so the walk stops after
+    a_j hits; a repeated residue class would falsify the theory and raises.
     """
     aj = S.generators[j - 1]
     m = basis.order.num_vars
-    face_mask = _FIELD | (_FIELD << (64 * j))
-    limit = max_scan_limit()
+    face_mask = field_mask((0, j))
     found: dict[int, tuple[int, Exponent]] = {}
-    v = 0
-    l = 0
-    while len(found) < aj:
-        if l:
-            v = reducer.reduce_packed(v + 1)
+    for l, v in _x_powers(basis, "Apery"):
         if v & face_mask == 0:
             r = l % aj
             if r in found:
@@ -132,48 +133,8 @@ def _delta_scan(S, j, basis, reducer) -> dict[int, Exponent]:
                     f"residue class {r} mod {aj} filled twice during the scan"
                 )
             found[r] = (l, unpack_exponent(v, m))
-        l += 1
-        if l > limit:
-            raise ScanLimitError(f"Apery scan exceeded APERYKIT_MAX_SCAN={limit}")
-    return {element: e for element, e in found.values()}
-
-
-def _delta_direct(S, j, basis) -> dict[int, Exponent]:
-    """Enumerate the staircase-complement points of the {x = y_j = 0} face.
-
-    The face complement is downward closed, so a breadth-first walk from
-    the origin that stops at corner-divisible points visits exactly the
-    complement.  Finiteness has a certificate: every free variable has a
-    pure-power corner (a relation y_i^u = (multiple of a_j) exists, and
-    its lead must appear in the staircase), which the code checks before
-    walking.
-    """
-    gens = S.generators
-    k = len(gens)
-    m = k + 1
-    free_cols = [c for c in range(1, m) if c != j]
-    face_corners = [
-        q for q in basis.corners if q[0] == 0 and q[j] == 0
-    ]
-    for c in free_cols:
-        if not any(q[c] and all(q[d] == 0 for d in range(m) if d != c) for q in face_corners):
-            raise InternalInvariantError(
-                f"no pure-power corner bounds variable {c}; complement may be infinite"
-            )
-    out: dict[int, Exponent] = {}
-    seen = {(0,) * m}
-    frontier = [(0,) * m]
-    while frontier:
-        point = frontier.pop()
-        out[phi_degree(point, gens)] = point
-        for c in free_cols:
-            nxt = point[:c] + (point[c] + 1,) + point[c + 1 :]
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if not any(divides(q, nxt) for q in face_corners):
-                frontier.append(nxt)
-    return out
+            if len(found) == aj:
+                return {element: e for element, e in found.values()}
 
 
 def apery_delta(
@@ -208,9 +169,10 @@ def apery_delta(
             f"supplied basis was built for {basis.order.label!r}, need {order.label!r}"
         )
     if method == "scan":
-        reps = _delta_scan(S, j, basis, PackedReducer.for_basis(basis))
+        reps = _delta_scan(S, j, basis)
     else:
-        reps = _delta_direct(S, j, basis)
+        free_cols = [c for c in range(1, k + 1) if c != j]
+        reps = face_complement(basis, free_cols, lambda v: phi_degree(v, gens))
     aj = gens[j - 1]
     elements = tuple(sorted(reps))
     _check_report_invariants(gens, aj, elements, reps, j)
@@ -253,16 +215,12 @@ def extremal_set(
         raise ValueError("report and basis were built under different orderings")
     if report.wrt != S.generators[-1]:
         raise ValueError("extremal sets are defined with respect to a_k")
-    k = len(S.generators)
-    corners = list(basis.corners)
+    covered = corner_test(basis)
+    steps = [field_step(i) for i in range(1, len(S.generators))]
     out = []
     for element in report.elements:
-        rep = report.representations[element]
-        for i in range(1, k):
-            bumped = rep[:i] + (rep[i] + 1,) + rep[i + 1 :]
-            if not any(divides(q, bumped) for q in corners):
-                break
-        else:
+        v = pack_exponent(report.representations[element])
+        if all(covered(v + s) for s in steps):
             out.append(element)
     return out
 

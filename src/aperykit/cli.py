@@ -25,8 +25,8 @@ from . import apery as apery_mod
 from . import homology as homology_mod
 from . import semigroup as sg
 from .errors import BadAxesError, InternalInvariantError
-from .groebner import GroebnerBasis, buchberger, divides, ideal_generators
-from .orders import apery_order, parse_order_descriptor
+from .groebner import GroebnerBasis, buchberger, ideal_generators, in_staircase_complement
+from .orders import apery_order, parse_apery_descriptor, parse_order_descriptor
 from .sampling import random_semigroup
 from .semigroup import NumericalSemigroup
 
@@ -101,22 +101,23 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _apery_choice(desc: str, S: NumericalSemigroup):
+    """``(j, inner, flavor)`` of a valid ``--order``; j is None unless it is apery:..."""
+    parse_order_descriptor(desc, S.generators)  # the errors any --order gets
+    text = desc.strip()
+    if not text.startswith("apery:"):
+        return None, None, "lex"
+    return parse_apery_descriptor(text, len(S.generators))
+
+
 def _cmd_apery(args) -> int:
     S = _parse_gens(args.gens)
     if args.wrt not in S.generators:
         raise ValueError(f"--wrt must be one of the generators {S.generators}")
     j = S.generators.index(args.wrt) + 1
-    inner = None
-    flavor = "lex"
-    if args.order:
-        order = parse_order_descriptor(args.order, S.generators)
-        if not order.label.startswith(f"apery:j={j},"):
-            raise ValueError(
-                f"--order {args.order!r} does not target generator {args.wrt}"
-            )
-        body = order.label.split(":", 1)[1].split(",")
-        inner = tuple(int(p) for p in body[1][len("inner=") :].split("-"))
-        flavor = body[2]
+    target, inner, flavor = _apery_choice(args.order, S) if args.order else (j, None, "lex")
+    if target != j:
+        raise ValueError(f"--order {args.order!r} does not target generator {args.wrt}")
     order = apery_order(len(S.generators), j, S.generators, inner=inner, flavor=flavor)
     basis = buchberger(ideal_generators(S, order), order)
     report_obj = apery_mod.apery_delta(
@@ -141,17 +142,14 @@ def _cmd_typeset(args) -> int:
     S = _parse_gens(args.gens)
     extra = []
     for desc in args.order or []:
-        order = parse_order_descriptor(desc, S.generators)
-        if not order.label.startswith("apery:"):
+        target, inner, flavor = _apery_choice(desc, S)
+        if target is None:
             raise ValueError(
                 f"extra typeset orderings must be apery:... descriptors, got {desc!r}"
             )
-        body = order.label.split(":", 1)[1].split(",")
-        if body[0] != f"j={len(S.generators)}":
+        if target != len(S.generators):
             raise ValueError("extra typeset orderings must target a_k")
-        extra.append(
-            (tuple(int(p) for p in body[1][len("inner=") :].split("-")), body[2])
-        )
+        extra.append((inner, flavor))
     tr = apery_mod.type_set(S, extra_orders=extra)
     report = {
         "generators": list(S.generators),
@@ -225,11 +223,12 @@ def render_staircase(basis: GroebnerBasis, fixed: dict, axes, extent) -> str:
         raise BadAxesError("a fixed variable cannot also be an axis")
     if any(not (0 <= c < m) for c in fixed):
         raise BadAxesError("fixed variable index out of range")
+    if any(int(value) < 0 for value in fixed.values()):
+        raise ValueError("fixed exponents must be nonnegative")
     width, height = extent
     base = [0] * m
     for c, value in fixed.items():
         base[c] = int(value)
-    corners = list(basis.corners)
     names = ["x"] + [f"y{i}" for i in range(1, m)]
     lines = []
     for row in range(height - 1, -1, -1):
@@ -238,8 +237,7 @@ def render_staircase(basis: GroebnerBasis, fixed: dict, axes, extent) -> str:
             point = list(base)
             point[ax] = col
             point[ay] = row
-            inside = any(divides(q, tuple(point)) for q in corners)
-            cells.append("#" if inside else "o")
+            cells.append("o" if in_staircase_complement(point, basis) else "#")
         lines.append(f"{row:>3} " + " ".join(cells))
     lines.append("    " + " ".join(f"{c}" for c in range(width)))
     header = f"{names[ay]} (vertical) vs {names[ax]} (horizontal)"

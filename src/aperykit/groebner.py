@@ -13,6 +13,8 @@ bit of each field acts as a borrow guard: q divides v exactly when
 below the field width on entry, and rewriting never increases the
 weighted degree of a monomial, so the fields cannot overflow.  The
 public API speaks plain integer tuples.
+Only this module knows the field layout; it also holds the one staircase
+face walk (``face_complement``) and corner test (``corner_test``).
 """
 
 from __future__ import annotations
@@ -344,9 +346,68 @@ def normal_form(v: Exponent, basis: GroebnerBasis) -> Exponent:
     return PackedReducer.for_basis(basis).reduce_exponent(tuple(v))
 
 
+def field_mask(cols) -> int:
+    """Packed mask of the fields of the variables in ``cols``."""
+    return sum(((1 << _FIELD_BITS) - 1) << (c * _FIELD_BITS) for c in cols)
+
+
+def field_step(c: int) -> int:
+    """Packed exponent of variable c alone: adding it bumps that field."""
+    return 1 << (c * _FIELD_BITS)
+
+
+def corner_test(basis: GroebnerBasis, face: int = -1):
+    """Predicate on packed v: True iff a corner of ``basis`` divides v.
+
+    Keeps the corners inside the ``face`` mask (default: all variables),
+    the only ones that can divide a point of that face.
+    """
+    high = _high_mask(basis.order.num_vars)
+    corners = [q for q in map(pack_exponent, basis.corners) if not q & ~face]
+
+    def covered(v: int) -> bool:
+        for q in corners:
+            if ((v | high) - q) & high == high:
+                return True
+        return False
+
+    return covered
+
+
 def in_staircase_complement(v: Exponent, basis: GroebnerBasis) -> bool:
     """True iff no corner divides v, i.e. monomial(v) survives reduction."""
-    return not any(divides(q, v) for q in basis.corners)
+    return not corner_test(basis)(pack_exponent(v))
+
+
+def face_complement(basis: GroebnerBasis, free_cols, degree) -> dict:
+    """``{degree(p): p}`` over the staircase-complement points p of a face.
+
+    The face is where the variables outside ``free_cols`` vanish.  Its
+    complement is downward closed, so a walk from the origin raising the
+    free variables in column order and stopping where a corner divides
+    reaches each point once.  A pure-power corner for every free variable
+    certifies finiteness and is checked first; a repeated degree raises.
+    """
+    m = basis.order.num_vars
+    covered = corner_test(basis, field_mask(free_cols))
+    steps = [field_step(c) for c in free_cols]
+    for c, step in zip(free_cols, steps):
+        # only a pure power of variable c divides its largest packable power
+        if not covered((_FIELD_LIMIT - 1) * step):
+            raise InternalInvariantError(f"no pure-power corner bounds variable {c}")
+    out = {}
+    frontier = [(0, 0)]
+    while frontier:
+        v, first = frontier.pop()
+        point = unpack_exponent(v, m)
+        d = degree(point)
+        if d in out:
+            raise InternalInvariantError(f"degree {d} reached twice in the face")
+        out[d] = point
+        for i in range(first, len(steps)):
+            if not covered(v + steps[i]):
+                frontier.append((v + steps[i], i))
+    return out
 
 
 def phi_degree(v: Exponent, weights) -> int:

@@ -255,27 +255,35 @@ def parse_order_descriptor(text: str, weights) -> OrderSpec:
         reordered += [points[i] for i in indices]
         return block_lambda_order(d, reordered, len(indices))
     if text.startswith("apery:"):
-        j = None
-        inner = None
-        flavor = "lex"
-        for part in text[len("apery:") :].split(","):
-            part = part.strip()
-            if part.startswith("j="):
-                j = int(part[2:])
-            elif part.startswith("inner="):
-                raw = part[len("inner=") :]
-                if k >= 10 and "-" not in raw and len(raw) > 1:
-                    # digit splitting cannot tell inner=12 from y_12
-                    raise ValueError(
-                        f"inner={raw} is ambiguous with {k} generators; separate indices with '-'"
-                    )
-                pieces = raw.split("-") if "-" in raw else list(raw)
-                inner = tuple(int(p) for p in pieces)
-            elif part in ("lex", "revlex"):
-                flavor = part
-            elif part:
-                raise ValueError(f"unknown ordering option {part!r} in {text!r}")
-        if j is None:
-            raise ValueError(f"descriptor {text!r} is missing j=<index>")
+        j, inner, flavor = parse_apery_descriptor(text, k)
         return apery_order(k, j, weights, inner=inner, flavor=flavor)
     raise ValueError(f"unknown ordering descriptor {text!r}")
+
+
+def parse_apery_descriptor(text: str, k: int) -> tuple[int, tuple[int, ...] | None, str]:
+    """``(j, inner, flavor)`` of a stripped ``apery:...`` descriptor for k generators.
+
+    Only the syntax is checked; ``inner`` is None when left out, as in
+    :func:`apery_order`, which checks the values.
+    """
+    j, inner, flavor = None, None, "lex"
+    for part in text[len("apery:") :].split(","):
+        part = part.strip()
+        if part.startswith("j="):
+            j = int(part[2:])
+        elif part.startswith("inner="):
+            raw = part[len("inner=") :]
+            if k >= 10 and "-" not in raw and len(raw) > 1:
+                # digit splitting cannot tell inner=12 from y_12
+                raise ValueError(
+                    f"inner={raw} is ambiguous with {k} generators; separate indices with '-'"
+                )
+            pieces = raw.split("-") if "-" in raw else list(raw)
+            inner = tuple(int(p) for p in pieces)
+        elif part in ("lex", "revlex"):
+            flavor = part
+        elif part:
+            raise ValueError(f"unknown ordering option {part!r} in {text!r}")
+    if j is None:
+        raise ValueError(f"descriptor {text!r} is missing j=<index>")
+    return j, inner, flavor

@@ -2,6 +2,7 @@
 
 import pytest
 
+from aperykit import apery as apery_module
 from aperykit.apery import (
     apery_delta,
     classify,
@@ -9,7 +10,7 @@ from aperykit.apery import (
     gaps_via_groebner,
     type_set,
 )
-from aperykit.errors import OrderNotEliminationError
+from aperykit.errors import OrderNotEliminationError, ScanLimitError
 from aperykit.groebner import buchberger, ideal_generators, phi_degree
 from aperykit.orders import OrderSpec, apery_order, lex_order
 from aperykit.semigroup import (
@@ -64,6 +65,29 @@ class TestGapsViaGroebner:
     def test_random_monoids_match_oracle(self, small_corpus):
         for S in small_corpus[:12]:
             assert gaps_via_groebner(S, lex_basis(S)) == gaps(S)
+
+    def test_uses_only_the_basis_it_is_given(self, monkeypatch):
+        S = NumericalSemigroup([7, 9, 11])
+        basis = lex_basis(S)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return buchberger(*args, **kwargs)
+
+        monkeypatch.setattr(apery_module, "buchberger", counting)
+        assert gaps_via_groebner(S, basis) == gaps(S)
+        assert calls == []
+
+    def test_scan_guard(self, monkeypatch):
+        S = NumericalSemigroup([7, 9, 11])
+        basis = lex_basis(S)
+        # the scan ends at 26 + 7 = 33, after a_1 members in a row
+        monkeypatch.setenv("APERYKIT_MAX_SCAN", "33")
+        assert gaps_via_groebner(S, basis) == gaps(S)
+        monkeypatch.setenv("APERYKIT_MAX_SCAN", "32")
+        with pytest.raises(ScanLimitError):
+            gaps_via_groebner(S, basis)
 
 
 class TestAperyDelta:

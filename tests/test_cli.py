@@ -188,6 +188,13 @@ class TestStaircase:
         )
         assert code == 1
 
+    def test_negative_fixed_exponent_is_a_user_error(self, capsys):
+        code, out, err = run(
+            capsys, "staircase", "--gens", "7,9,11", "--axes", "y1,y2", "--fix", "x=-1"
+        )
+        assert code == 1 and out == ""
+        assert "nonnegative" in json.loads(err)["error"]
+
 
 class TestVerify:
     def test_deterministic_runs(self, capsys):

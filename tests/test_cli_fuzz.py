@@ -113,3 +113,10 @@ def test_verify_rejects_k_ranges_without_a_monoid():
         code, _, err = invoke(["verify", "--count", "1"] + extra)
         assert code == 1
         assert "no k in" in json.loads(err)["error"]
+
+
+def test_verify_rejects_k_ranges_too_thin_to_sample():
+    # only {16..31} qualifies, about 1 draw in 1.5e8: this used to draw for hours
+    code, _, err = invoke(["verify", "--count", "1", "--kmin", "16", "--kmax", "16", "--max-gen", "31"])
+    assert code == 1
+    assert "[2, 31]" in json.loads(err)["error"]
