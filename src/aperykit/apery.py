@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 from .errors import InternalInvariantError, OrderNotEliminationError, ScanLimitError
 from .groebner import (
-    GroebnerBasis, PackedReducer, buchberger, corner_test, face_complement, field_mask,
-    field_step, ideal_generators, pack_exponent, phi_degree, unpack_exponent,
+    GroebnerBasis, buchberger, corner_test, face_complement, field_mask, field_step,
+    ideal_generators, pack_exponent, phi_degree, reducer_for, unpack_exponent,
 )
 # unused here, kept bound: perfbench/spans.py counts calls through this name
 from .groebner import divides  # noqa: F401
@@ -73,7 +73,7 @@ def _x_powers(basis: GroebnerBasis, scan: str):
 
     Each form is the last one times x, rewritten; reading on raises.
     """
-    reducer = PackedReducer.for_basis(basis)
+    reducer = reducer_for(basis)
     limit = max_scan_limit()
     v = 0
     for l in range(limit + 1):
@@ -93,8 +93,7 @@ def classify(S: NumericalSemigroup, l: int, basis: GroebnerBasis) -> Classificat
     if not 0 <= l <= max_scan_limit():
         raise ValueError(f"l must be in 0..APERYKIT_MAX_SCAN, got {l}")
     m = basis.order.num_vars
-    reducer = PackedReducer.for_basis(basis)
-    e = unpack_exponent(reducer.reduce_packed(l), m)  # x^l packs to the integer l
+    e = unpack_exponent(reducer_for(basis).reduce_packed(l), m)  # x^l packs to the integer l
     return Classification(in_monoid=e[0] == 0, exponent=e)
 
 
@@ -142,18 +141,21 @@ def apery_delta(
     j: int,
     inner=None,
     flavor: str = "lex",
-    method: str = "scan",
+    method: str = "direct",
     basis: GroebnerBasis | None = None,
 ) -> AperyReport:
     """Ap(S, a_j) computed through a reduced basis under an Apery ordering.
 
     ``inner``/``flavor`` choose the tie-break layer of the ordering; the
     element set provably does not depend on them, only the representations
-    do.  ``method="scan"`` (default) classifies x^l for increasing l until
-    every residue class mod a_j is filled; ``method="direct"`` enumerates
-    the staircase-complement face instead (same answer, different route).
-    A prebuilt ``basis`` for the matching ordering may be supplied to skip
-    the Buchberger run.
+    do.  ``method="direct"`` (default) walks the staircase-complement face
+    x = y_j = 0 and reads each point's degree; ``method="scan"``, the
+    classification route of the paper, classifies x^l for increasing l
+    until every residue class mod a_j is filled, and serves as the
+    cross-check.  Both return, per degree, the unique standard monomial on
+    that face, so elements and representations agree.  A prebuilt
+    ``basis`` for the matching ordering may be supplied to skip the
+    Buchberger run.
     """
     gens = S.generators
     k = len(gens)
@@ -215,8 +217,10 @@ def extremal_set(
         raise ValueError("report and basis were built under different orderings")
     if report.wrt != S.generators[-1]:
         raise ValueError("extremal sets are defined with respect to a_k")
-    covered = corner_test(basis)
-    steps = [field_step(i) for i in range(1, len(S.generators))]
+    face = range(1, len(S.generators))
+    # a point of the face x = y_k = 0 is divisible only by corners inside it
+    covered = corner_test(basis, field_mask(face))
+    steps = [field_step(i) for i in face]
     out = []
     for element in report.elements:
         v = pack_exponent(report.representations[element])

@@ -25,7 +25,7 @@ from . import apery as apery_mod
 from . import homology as homology_mod
 from . import semigroup as sg
 from .errors import BadAxesError, InternalInvariantError
-from .groebner import GroebnerBasis, buchberger, ideal_generators, in_staircase_complement
+from .groebner import GroebnerBasis, buchberger, corner_test, ideal_generators, pack_exponent
 from .orders import apery_order, parse_apery_descriptor, parse_order_descriptor
 from .sampling import random_semigroup
 from .semigroup import NumericalSemigroup
@@ -230,6 +230,7 @@ def render_staircase(basis: GroebnerBasis, fixed: dict, axes, extent) -> str:
     for c, value in fixed.items():
         base[c] = int(value)
     names = ["x"] + [f"y{i}" for i in range(1, m)]
+    covered = corner_test(basis)
     lines = []
     for row in range(height - 1, -1, -1):
         cells = []
@@ -237,7 +238,7 @@ def render_staircase(basis: GroebnerBasis, fixed: dict, axes, extent) -> str:
             point = list(base)
             point[ax] = col
             point[ay] = row
-            cells.append("o" if in_staircase_complement(point, basis) else "#")
+            cells.append("#" if covered(pack_exponent(point)) else "o")
         lines.append(f"{row:>3} " + " ".join(cells))
     lines.append("    " + " ".join(f"{c}" for c in range(width)))
     header = f"{names[ay]} (vertical) vs {names[ax]} (horizontal)"
@@ -305,11 +306,19 @@ def _cmd_verify(args) -> int:
     ]
 
     def check_delta(S):
+        # both routes on one basis: each must match the definition, and
+        # both must pick the same representation per element
         expect = sg.apery_bruteforce(S, S.generators[-1])
         k = len(S.generators)
-        got = apery_mod.apery_delta(S, k)
-        if list(got.elements) != expect:
-            return (S.generators, list(got.elements), expect)
+        order = apery_order(k, k, S.generators)
+        basis = buchberger(ideal_generators(S, order), order)
+        scan = apery_mod.apery_delta(S, k, method="scan", basis=basis)
+        direct = apery_mod.apery_delta(S, k, method="direct", basis=basis)
+        for got in (scan, direct):
+            if list(got.elements) != expect:
+                return (S.generators, list(got.elements), expect)
+        if scan.representations != direct.representations:
+            return (S.generators, "scan and direct representations differ")
         return None
 
     def check_typeset(S):
@@ -376,8 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wrt", type=int, required=True, help="generator to compute against")
     p.add_argument("--order", help="ordering descriptor, e.g. apery:j=4,inner=1-3-2,revlex")
     p.add_argument(
-        "--strategy", choices=["scan", "direct"], default="scan",
-        help="enumeration route (incremental classification vs face walk)",
+        "--strategy", choices=["scan", "direct"], default="direct",
+        help="enumeration route: direct (default) walks the face x = y_j = 0; "
+        "scan is the classification route, kept as the cross-check",
     )
     p.add_argument("--dump-basis", action="store_true", help="include the reduced basis")
     common(p)

@@ -337,13 +337,33 @@ def _interreduce(leads, trails, lead_keys, order: OrderSpec) -> GroebnerBasis:
     )
 
 
+# (basis, its reducer) for the basis used last; see reducer_for
+_last_reducer: tuple = (None, None)
+
+
+def reducer_for(basis: GroebnerBasis) -> PackedReducer:
+    """The ``PackedReducer`` of ``basis``, rebuilt only when the basis changes.
+
+    Callers read many normal forms off one basis in a row, so one entry,
+    matched by identity, saves the rebuilds.  It holds a single reducer
+    rather than one per basis: callers that keep many bases around would
+    otherwise keep a reducer alive beside each of them.
+    """
+    global _last_reducer
+    held, reducer = _last_reducer
+    if held is not basis:
+        reducer = PackedReducer.for_basis(basis)
+        _last_reducer = (basis, reducer)
+    return reducer
+
+
 def normal_form(v: Exponent, basis: GroebnerBasis) -> Exponent:
     """The unique irreducible exponent equivalent to v modulo the ideal."""
     if len(v) != basis.order.num_vars:
         raise ValueError(
             f"expected an exponent vector of length {basis.order.num_vars}"
         )
-    return PackedReducer.for_basis(basis).reduce_exponent(tuple(v))
+    return reducer_for(basis).reduce_exponent(tuple(v))
 
 
 def field_mask(cols) -> int:

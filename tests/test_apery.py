@@ -11,7 +11,13 @@ from aperykit.apery import (
     type_set,
 )
 from aperykit.errors import OrderNotEliminationError, ScanLimitError
-from aperykit.groebner import buchberger, ideal_generators, phi_degree
+from aperykit.groebner import (
+    PackedReducer,
+    buchberger,
+    ideal_generators,
+    normal_form,
+    phi_degree,
+)
 from aperykit.orders import OrderSpec, apery_order, lex_order
 from aperykit.semigroup import (
     NumericalSemigroup,
@@ -241,3 +247,74 @@ class TestTypeSet:
     def test_requires_k_at_least_2(self):
         with pytest.raises(ValueError):
             type_set(NumericalSemigroup([1]))
+
+
+class TestReadoffRoute:
+    """The default read-off walks the face; classification shares one reducer."""
+
+    @staticmethod
+    def apery_basis(S, j=None, **kw):
+        k = len(S.generators)
+        order = apery_order(k, j or k, S.generators, **kw)
+        return buchberger(ideal_generators(S, order), order)
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        builds = []
+        build = PackedReducer.for_basis
+
+        def counted(basis):
+            builds.append(basis)
+            return build(basis)
+
+        monkeypatch.setattr(PackedReducer, "for_basis", staticmethod(counted))
+        return builds
+
+    def test_default_rewrites_nothing(self, monkeypatch):
+        S = NumericalSemigroup([7, 8, 9, 13])
+        basis = self.apery_basis(S)
+        calls = []
+        reduce_packed = PackedReducer.reduce_packed
+
+        def counted(reducer, v):
+            calls.append(v)
+            return reduce_packed(reducer, v)
+
+        monkeypatch.setattr(PackedReducer, "reduce_packed", counted)
+        report = apery_delta(S, 4, basis=basis)
+        assert list(report.elements) == apery_bruteforce(S, 13)
+        assert calls == []
+
+    def test_default_matches_scan_for_every_j(self, small_corpus):
+        for S in small_corpus[:10]:
+            for j in range(1, len(S.generators) + 1):
+                basis = self.apery_basis(S, j)
+                default = apery_delta(S, j, basis=basis)
+                scan = apery_delta(S, j, method="scan", basis=basis)
+                assert default.elements == scan.elements
+                assert default.representations == scan.representations
+
+    def test_classify_builds_one_reducer_per_basis(self, monkeypatch):
+        S = NumericalSemigroup([7, 9, 11])
+        basis = lex_basis(S)
+        builds = self.count_builds(monkeypatch)
+        for l in range(20, 28):
+            assert classify(S, l, basis).in_monoid == contains(S, l)
+        assert builds == [basis]
+
+    def test_alternating_bases_keep_their_own_reductions(self, monkeypatch):
+        S, T = NumericalSemigroup([7, 9, 11]), NumericalSemigroup([7, 8, 9, 13])
+        pairs = [
+            (S, lex_basis(S)),
+            (T, self.apery_basis(T)),
+            (T, self.apery_basis(T, inner=(3, 1, 2), flavor="revlex")),
+        ]
+        builds = self.count_builds(monkeypatch)
+        for l in range(40):
+            for M, basis in pairs:
+                assert classify(M, l, basis).in_monoid == contains(M, l)
+                v = (l, 1) + (0,) * (len(M.generators) - 1)
+                assert normal_form(v, basis) == PackedReducer.for_basis(basis).reduce_exponent(v)
+        # classify rebuilds on each switch of basis, normal_form then reuses
+        # that reducer, and the reference reducer is one more build
+        assert len(builds) == 2 * 40 * len(pairs)

@@ -71,6 +71,13 @@ class TestApery:
         )
         assert scan["apery"] == direct["apery"]
 
+    @pytest.mark.parametrize("gens,wrt", [("5,7,9", "9"), ("7,9,11,13,15", "11")])
+    def test_scan_strategy_matches_default(self, capsys, gens, wrt):
+        default = run_json(capsys, "apery", "--gens", gens, "--wrt", wrt)
+        scan = run_json(capsys, "apery", "--gens", gens, "--wrt", wrt, "--strategy", "scan")
+        assert scan["apery"] == default["apery"]
+        assert scan["representations"] == default["representations"]
+
     def test_wrt_must_be_a_generator(self, capsys):
         code, _, err = run(capsys, "apery", "--gens", "5,7,9", "--wrt", "8")
         assert code == 1
