@@ -9,21 +9,25 @@ staircase-complement points in the face where the x variables and the
 Lambda variables all vanish, walked by the numerical route's own
 :func:`aperykit.groebner.face_complement`.
 
-Cone containment is certified by exact Fourier-Motzkin elimination over
-the rationals: for each generator outside Lambda it produces integers
-(u, v) with u * a_j = sum(v_i * lambda_i), which is also what bounds the
-face and makes the enumeration finite.
+Cone containment is certified in integers: for each generator outside
+Lambda, a nonnegative solution on r = rank Lambda linearly independent
+Lambda generators (conic Caratheodory), found by the fraction-free
+elimination of :func:`aperykit.orders.eliminate`, is cleared to integers
+(u, v) with u * a_j = sum(v_i * lambda_i).  That is also what bounds the
+face and makes the enumeration finite.  At most ``APERYKIT_MAX_SCAN``
+column sets are tried.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import gcd, lcm
 
-from .errors import ConeMismatchError, InternalInvariantError
+from .errors import ConeMismatchError, InternalInvariantError, ScanLimitError
 from .groebner import Binomial, buchberger, face_complement, oriented
-from .orders import OrderSpec, block_lambda_order
+from .orders import OrderSpec, block_lambda_order, eliminate, integer_rank
+from .semigroup import max_scan_limit
 
 Point = tuple[int, ...]
 Exponent = tuple[int, ...]
@@ -61,7 +65,10 @@ class LambdaChoice:
     ``reordered`` lists the non-Lambda generators first (original order),
     then the Lambda generators, which is the layout the block ordering
     expects.  ``certificates`` maps each non-Lambda original position j to
-    (u, v) with u * a_j = sum(v_i * lambda_i).
+    integers (u, v) with u >= 1, v >= 0 and u * a_j = sum(v_i * lambda_i).
+    v / u is the solution on the first certifying set of rank-Lambda
+    linearly independent Lambda generators (zero off that set), and u is
+    the least integer that clears its denominators.
     """
 
     monoid: AffineMonoid
@@ -85,74 +92,18 @@ class AffineAperyReport:
     order_used: str
 
 
-def _fourier_motzkin_nonneg(columns, target):
-    """Rational t >= 0 with sum(t_i * columns[i]) == target, or None.
-
-    The equality system is split into <= pairs, variables are eliminated
-    back to front, and a witness is rebuilt by picking the largest lower
-    bound at every level (feasibility of each interval is guaranteed by
-    the elimination).  Everything is a Fraction; nothing is rounded.
-    """
-    n = len(columns)
-    d = len(target)
-    # rows: (coeffs, const) meaning sum(c_i t_i) <= const
-    rows: list[tuple[list[Fraction], Fraction]] = []
-    for c in range(d):
-        coeffs = [Fraction(col[c]) for col in columns]
-        rows.append((coeffs, Fraction(target[c])))
-        rows.append(([-x for x in coeffs], Fraction(-target[c])))
-    for i in range(n):
-        coeffs = [Fraction(0)] * n
-        coeffs[i] = Fraction(-1)
-        rows.append((coeffs, Fraction(0)))
-
-    levels = [rows]
-    for var in range(n - 1, -1, -1):
-        current = levels[-1]
-        lowers, uppers, rest = [], [], []
-        for coeffs, const in current:
-            c = coeffs[var]
-            if c > 0:
-                uppers.append(([x / c for x in coeffs], const / c))
-            elif c < 0:
-                lowers.append(([x / -c for x in coeffs], const / -c))
-            else:
-                rest.append((coeffs, const))
-        for lo_coeffs, lo_const in lowers:
-            for up_coeffs, up_const in uppers:
-                # -t_var <= lo implies t_var >= -lo; combine with t_var <= up
-                coeffs = [u + l for u, l in zip(up_coeffs, lo_coeffs)]
-                coeffs[var] = Fraction(0)
-                rest.append((coeffs, up_const + lo_const))
-        levels.append(rest)
-
-    if any(const < 0 for coeffs, const in levels[-1] if not any(coeffs)):
-        return None
-    solution = [Fraction(0)] * n
-    for var in range(n):
-        level = levels[n - 1 - var]  # constraints over t_0..t_var
-        best = Fraction(0)
-        for coeffs, const in level:
-            c = coeffs[var]
-            if c < 0:
-                bound = (sum(a * b for a, b in zip(coeffs, solution)) - coeffs[var] * solution[var] - const) / -c
-                if bound > best:
-                    best = bound
-        solution[var] = best
-        for coeffs, const in level:
-            if coeffs[var] > 0:
-                slack = const - sum(a * b for a, b in zip(coeffs, solution))
-                if slack < 0:
-                    raise InternalInvariantError("Fourier-Motzkin witness escaped its interval")
-    return solution
-
-
 def validate_lambda(M: AffineMonoid, indices) -> LambdaChoice:
     """Certify pos(S) = pos(Lambda) and fix the variable layout.
 
-    For every generator outside Lambda an exact rational solution of
-    a_j = sum(t_i * lambda_i), t >= 0 is found and cleared to integers;
-    a generator with no such solution raises ConeMismatchError carrying it.
+    With r = rank Lambda, a point of cone(Lambda) is a nonnegative
+    combination of r linearly independent Lambda generators (conic
+    Caratheodory).  The column sets B of r Lambda generators are tried in
+    ``itertools.combinations`` order, each by one integer Gauss-Jordan of
+    [Lambda_B | the pending generators]; a generator is certified by the
+    first independent B where its unique solution t is consistent and
+    nonnegative, as u = lcm of the reduced denominators of t and v = u * t.
+    A generator no B certifies raises ConeMismatchError carrying it; more
+    than ``APERYKIT_MAX_SCAN`` column sets raise ScanLimitError.
     """
     indices = tuple(sorted({int(i) for i in indices}))
     if not indices:
@@ -162,18 +113,38 @@ def validate_lambda(M: AffineMonoid, indices) -> LambdaChoice:
     lam = [M.generators[i] for i in indices]
     others = [i for i in range(len(M.generators)) if i not in indices]
     certificates: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for j in others:
-        t = _fourier_motzkin_nonneg(lam, M.generators[j])
-        if t is None:
-            raise ConeMismatchError(M.generators[j])
-        u = lcm(*(x.denominator for x in t)) if t else 1
-        v = tuple(int(x * u) for x in t)
-        check = tuple(
-            sum(v_i * lam_g[c] for v_i, lam_g in zip(v, lam)) for c in range(M.dim)
-        )
-        if check != tuple(u * x for x in M.generators[j]):
-            raise InternalInvariantError("cleared cone certificate does not verify")
-        certificates[j] = (u, v)
+    pending = others
+    r = integer_rank(lam)
+    limit = max_scan_limit()
+    for tried, B in enumerate(combinations(range(len(lam)), r)):
+        if not pending:
+            break
+        if tried == limit:
+            raise ScanLimitError(f"Lambda column sets exceed APERYKIT_MAX_SCAN={limit}")
+        rows = [
+            [lam[i][c] for i in B] + [M.generators[j][c] for j in pending]
+            for c in range(M.dim)
+        ]
+        pivots, rest = eliminate(rows, r)
+        if len(pivots) < r:
+            continue
+        for col, j in enumerate(pending, start=r):
+            if any(row[col] for row in rest):
+                continue
+            t = {B[c]: (row[col], row[c]) for c, row in pivots}
+            if any(num * den < 0 for num, den in t.values()):
+                continue
+            u = lcm(*(abs(den) // gcd(num, den) for num, den in t.values()))
+            v = tuple(u * t[i][0] // t[i][1] if i in t else 0 for i in range(len(lam)))
+            check = tuple(
+                sum(v_i * lam_g[c] for v_i, lam_g in zip(v, lam)) for c in range(M.dim)
+            )
+            if check != tuple(u * x for x in M.generators[j]):
+                raise InternalInvariantError("cleared cone certificate does not verify")
+            certificates[j] = (u, v)
+        pending = [j for j in pending if j not in certificates]
+    if pending:
+        raise ConeMismatchError(M.generators[pending[0]])
     reordered = tuple(M.generators[i] for i in others) + tuple(lam)
     return LambdaChoice(
         monoid=M, indices=indices, reordered=reordered, certificates=certificates

@@ -5,7 +5,9 @@ the lexicographic order of their weight images down the rows.  Construction
 verifies the two properties that make such a stack a usable monomial
 ordering: the rows' common rational kernel meets Z^m only in 0 (totality),
 and the first nonzero weight in every column is positive (each variable
-exceeds 1, so reductions terminate).
+exceeds 1, so reductions terminate).  Totality is a rank, computed by
+:func:`eliminate`, the integer elimination that also gives the affine cone
+certificates.
 
 Constructors cover plain lex, the four-layer elimination orderings used to
 read Apery sets off a staircase, and the block orderings used for affine
@@ -16,7 +18,8 @@ to worry about anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 from .errors import (
     InternalInvariantError,
@@ -30,23 +33,48 @@ Exponent = tuple[int, ...]
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
-def _rational_rank(rows) -> int:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
+def eliminate(rows, width: int) -> tuple[list[tuple[int, list[int]]], list[list[int]]]:
+    """Gauss-Jordan over Q in integers, pivoting in the first ``width`` columns.
+
+    Returns ``(pivots, rest)``.  ``pivots`` holds one ``(column, row)`` pair
+    per pivot, and every pivot column is zero outside its own row; ``rest``
+    holds the other nonzero rows, which are zero in the first ``width``
+    columns.  A row is combined with a pivot only when it has a nonzero in
+    the pivot column, and each new row is divided by its gcd, as in
+    :func:`aperykit.homology._rank_exact`: no rationals, and the entries stay
+    small (Bareiss, Math. Comp. 22, 1968).
+    """
+    pivots: list[tuple[int, list[int]]] = []
+    rest: list[list[int]] = []
+    pending = [list(row) for row in rows if any(row)]
+    while pending:
+        row = pending.pop()
+        col = next((c for c in range(width) if row[c]), None)
+        if col is None:
+            rest.append(row)
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+        pending = [r for r in (_cancel(other, row, col) for other in pending) if r]
+        pivots = [(c, _cancel(other, row, col)) for c, other in pivots]
+        pivots.append((col, row))
+    return pivots, rest
+
+
+def _cancel(row, pivot, col):
+    """``pivot[col] * row - row[col] * pivot`` over its gcd, [] when that is zero."""
+    f = row[col]
+    if not f:
+        return row
+    p = pivot[col]
+    row = [p * v - f * w for v, w in zip(row, pivot)]
+    g = reduce(gcd, row)  # gcd(*row) would fill the tuple free lists
+    if g > 1:
+        row = [v // g for v in row]
+    return row if g else []
+
+
+def integer_rank(rows) -> int:
+    """Rank over Q of an integer matrix given by its rows."""
+    return len(eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
 @dataclass(frozen=True)
@@ -69,7 +97,7 @@ class OrderSpec:
             raise ValueError("num_vars must be >= 1")
         if any(len(row) != self.num_vars for row in rows):
             raise ValueError("every weight row must have num_vars entries")
-        if _rational_rank(rows) != self.num_vars:
+        if integer_rank(rows) != self.num_vars:
             raise ValueError(
                 f"weight rows do not define a total order on {self.num_vars} variables"
             )
