@@ -2,11 +2,13 @@
 
 Generators live in Z^d with nonnegative coordinates (which makes the
 monoid pointed and lets the defining binomials y_j - x^{a_j} generate the
-kernel ideal directly).  Given a subset Lambda of generators spanning the
-same rational cone, Ap(S, Lambda) = {a in S : a - b not in S for all b in
-Lambda} is finite, and it equals the set of weighted degrees of the
-staircase-complement points in the face where the x variables and the
-Lambda variables all vanish, walked by the numerical route's own
+kernel ideal directly).  Numerical monoids are the case d = 1: the
+binomials come from the numerical route's own
+:func:`aperykit.groebner.defining_binomials`.  Given a subset Lambda of
+generators spanning the same rational cone, Ap(S, Lambda) = {a in S :
+a - b not in S for all b in Lambda} is finite, and it equals the set of
+weighted degrees of the staircase-complement points in the face where the
+x variables and the Lambda variables all vanish, walked by the shared
 :func:`aperykit.groebner.face_complement`.
 
 Cone containment is certified in integers: for each generator outside
@@ -25,7 +27,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .errors import ConeMismatchError, InternalInvariantError, ScanLimitError
-from .groebner import Binomial, buchberger, face_complement, oriented
+from .groebner import Binomial, buchberger, defining_binomials, face_complement
 from .orders import OrderSpec, block_lambda_order, eliminate, integer_rank
 from .semigroup import max_scan_limit
 
@@ -153,18 +155,7 @@ def validate_lambda(M: AffineMonoid, indices) -> LambdaChoice:
 
 def affine_ideal_generators(M: AffineMonoid, reordered, order: OrderSpec) -> list[Binomial]:
     """Defining binomials y_p - x^{a_p} in the d + k variable layout."""
-    d = M.dim
-    k = len(reordered)
-    m = d + k
-    out = []
-    for p, a in enumerate(reordered):
-        x_side = tuple(a[c] if c < d else 0 for c in range(m))
-        y_side = tuple(1 if c == d + p else 0 for c in range(m))
-        b = oriented(x_side, y_side, order)
-        if b is None:
-            raise InternalInvariantError("degenerate affine defining binomial")
-        out.append(b)
-    return out
+    return defining_binomials(reordered, order)
 
 
 def graded_degree(v: Exponent, d: int, reordered) -> Point:

@@ -8,19 +8,21 @@ factorization of l over the generators.  Under the four-layer orderings
 of :func:`aperykit.orders.apery_order` more is true: l belongs to
 Ap(S, a_j) exactly when the normal form of x^l avoids both x and y_j.
 That equivalence is what this module executes, and what the oracle-based
-tests validate from the definitions.  The face walk and the corner test
-are :mod:`aperykit.groebner`'s, shared with the affine route.
+tests validate from the definitions.  Only :func:`apery_delta` turns a
+choice of ordering into a basis; its report carries that basis, and
+extremal sets are read off the report.  The face walk is
+:mod:`aperykit.groebner`'s, shared with the affine route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import InternalInvariantError, OrderNotEliminationError, ScanLimitError
 from .groebner import (
-    GroebnerBasis, buchberger, corner_test, face_complement, field_mask, field_step,
-    ideal_generators, pack_exponent, phi_degree, reducer_for, unpack_exponent,
+    GroebnerBasis, buchberger, face_complement, field_mask, ideal_generators, phi_degree,
+    reducer_for, unpack_exponent,
 )
 # unused here, kept bound: perfbench/spans.py counts calls through this name
 from .groebner import divides  # noqa: F401
@@ -35,7 +37,8 @@ class AperyReport:
     """Ap(S, a_j) with, per element, its normal-form exponent vector.
 
     Representations are x-free and y_j-free by construction; the weighted
-    degree of each representation recovers the element itself.
+    degree of each representation recovers the element itself.  ``basis``
+    is the reduced basis they were read off (left out of equality and repr).
     """
 
     generators: tuple[int, ...]
@@ -43,6 +46,7 @@ class AperyReport:
     elements: tuple[int, ...]
     representations: dict[int, Exponent]
     order_used: str
+    basis: GroebnerBasis | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -155,15 +159,13 @@ def apery_delta(
     cross-check.  Both return, per degree, the unique standard monomial on
     that face, so elements and representations agree.  A prebuilt
     ``basis`` for the matching ordering may be supplied to skip the
-    Buchberger run.
+    Buchberger run; either way the report carries the basis it used.
     """
     gens = S.generators
     k = len(gens)
-    if not 1 <= j <= k:
-        raise ValueError(f"j must be in 1..{k}, got {j}")
+    order = apery_order(k, j, gens, inner=inner, flavor=flavor)
     if method not in ("scan", "direct"):
         raise ValueError(f"unknown method {method!r}")
-    order = apery_order(k, j, gens, inner=inner, flavor=flavor)
     if basis is None:
         basis = buchberger(ideal_generators(S, order), order)
     elif basis.order.label != order.label:
@@ -184,6 +186,7 @@ def apery_delta(
         elements=elements,
         representations=reps,
         order_used=order.label,
+        basis=basis,
     )
 
 
@@ -208,23 +211,25 @@ def extremal_set(
 ) -> list[int]:
     """Apery elements whose representation admits no growth inside the face.
 
-    N stays when bumping any non-eliminated coordinate of its normal-form
-    exponent lands inside the staircase, i.e. the bumped vector is
-    divisible by a corner.  Only corner-divisibility is consulted, one
-    check per coordinate per element.
+    N stays when bumping any non-eliminated coordinate y_i of its
+    representation lands inside the staircase.  The report holds every
+    standard monomial of the face x = y_k = 0, one per degree, and the
+    bump has degree N + a_i, so it is standard exactly when it is the
+    report's representation of N + a_i: one lookup per coordinate.
     """
     if report.order_used != basis.order.label:
         raise ValueError("report and basis were built under different orderings")
-    if report.wrt != S.generators[-1]:
+    gens = S.generators
+    if report.wrt != gens[-1]:
         raise ValueError("extremal sets are defined with respect to a_k")
-    face = range(1, len(S.generators))
-    # a point of the face x = y_k = 0 is divisible only by corners inside it
-    covered = corner_test(basis, field_mask(face))
-    steps = [field_step(i) for i in face]
+    reps = report.representations
     out = []
     for element in report.elements:
-        v = pack_exponent(report.representations[element])
-        if all(covered(v + s) for s in steps):
+        rep = reps[element]
+        if all(
+            reps.get(element + gens[i - 1]) != rep[:i] + (rep[i] + 1,) + rep[i + 1:]
+            for i in range(1, len(gens))
+        ):
             out.append(element)
     return out
 
@@ -242,7 +247,8 @@ def type_set(S: NumericalSemigroup, extra_orders=()) -> TypeReport:
     intersection over all i is exactly the type set.  ``extra_orders`` may
     add more (inner, flavor) tie-break choices to intersect; they cannot
     change the result, since the type set is contained in every extremal
-    set, but they are useful for cross-checking.
+    set, but they are useful for cross-checking.  Repeated choices, with
+    ``inner=None`` read as the default sequence, are built once.
     """
     gens = S.generators
     k = len(gens)
@@ -252,13 +258,14 @@ def type_set(S: NumericalSemigroup, extra_orders=()) -> TypeReport:
     extremal: dict[str, tuple[int, ...]] = {}
     running: set[int] | None = None
     choices = [(_rotation_sequence(k, i), "revlex") for i in range(1, k)]
-    choices.extend(extra_orders)
-    for inner, flavor in choices:
-        order = apery_order(k, k, gens, inner=inner, flavor=flavor)
-        basis = buchberger(ideal_generators(S, order), order)
-        report = apery_delta(S, k, inner=inner, flavor=flavor, basis=basis)
-        part = extremal_set(S, report, basis)
-        extremal[order.label] = tuple(part)
+    choices += [
+        (tuple(range(1, k)) if inner is None else tuple(inner), flavor)
+        for inner, flavor in extra_orders
+    ]
+    for inner, flavor in dict.fromkeys(choices):  # a repeated choice adds nothing
+        report = apery_delta(S, k, inner=inner, flavor=flavor)
+        part = extremal_set(S, report, report.basis)
+        extremal[report.order_used] = tuple(part)
         running = set(part) if running is None else running & set(part)
     ts = tuple(sorted(running))
     return TypeReport(

@@ -24,9 +24,9 @@ from . import affine as affine_mod
 from . import apery as apery_mod
 from . import homology as homology_mod
 from . import semigroup as sg
-from .errors import BadAxesError, InternalInvariantError
+from .errors import BadAxesError, InternalInvariantError, ScanLimitError
 from .groebner import GroebnerBasis, buchberger, corner_test, ideal_generators, pack_exponent
-from .orders import apery_order, parse_apery_descriptor, parse_order_descriptor
+from .orders import parse_apery_descriptor, parse_order_descriptor
 from .sampling import random_semigroup
 from .semigroup import NumericalSemigroup
 
@@ -118,11 +118,7 @@ def _cmd_apery(args) -> int:
     target, inner, flavor = _apery_choice(args.order, S) if args.order else (j, None, "lex")
     if target != j:
         raise ValueError(f"--order {args.order!r} does not target generator {args.wrt}")
-    order = apery_order(len(S.generators), j, S.generators, inner=inner, flavor=flavor)
-    basis = buchberger(ideal_generators(S, order), order)
-    report_obj = apery_mod.apery_delta(
-        S, j, inner=inner, flavor=flavor, method=args.strategy, basis=basis
-    )
+    report_obj = apery_mod.apery_delta(S, j, inner=inner, flavor=flavor, method=args.strategy)
     report = {
         "generators": list(S.generators),
         "wrt": report_obj.wrt,
@@ -133,7 +129,7 @@ def _cmd_apery(args) -> int:
         "orders": [report_obj.order_used],
     }
     if args.dump_basis:
-        report["basis"] = _basis_payload(basis)
+        report["basis"] = _basis_payload(report_obj.basis)
     _emit(report, args.format)
     return 0
 
@@ -167,10 +163,7 @@ def _cmd_typeset(args) -> int:
 def _cmd_affine(args) -> int:
     M = _parse_affine_gens(args.gens, args.dim)
     indices = tuple(int(p) - 1 for p in args.lam.split(","))
-    x_order = None
-    if args.x_order and args.x_order != "lex":
-        raise ValueError("only the lex x-order is available from the command line")
-    rep = affine_mod.apery_affine(M, indices=indices, x_order=x_order)
+    rep = affine_mod.apery_affine(M, indices=indices)
     report = {
         "dim": M.dim,
         "generators": [list(g) for g in M.generators],
@@ -213,7 +206,8 @@ def render_staircase(basis: GroebnerBasis, fixed: dict, axes, extent) -> str:
 
     ``fixed`` assigns values to every variable except the two in ``axes``
     (missing ones default to 0); ``extent`` is the (width, height) of the
-    rendered grid.  Variable indices are 0 for x, i for y_i.
+    rendered grid, at most ``APERYKIT_MAX_SCAN`` cells.  Variable indices
+    are 0 for x, i for y_i.
     """
     m = basis.order.num_vars
     ax, ay = axes
@@ -226,6 +220,11 @@ def render_staircase(basis: GroebnerBasis, fixed: dict, axes, extent) -> str:
     if any(int(value) < 0 for value in fixed.values()):
         raise ValueError("fixed exponents must be nonnegative")
     width, height = extent
+    limit = sg.max_scan_limit()
+    if width < 1 or height < 1:
+        raise ValueError(f"extent must be positive, got {width},{height}")
+    if width * height > limit:
+        raise ScanLimitError(f"{width}x{height} grid exceeds APERYKIT_MAX_SCAN={limit}")
     base = [0] * m
     for c, value in fixed.items():
         base[c] = int(value)
@@ -310,10 +309,8 @@ def _cmd_verify(args) -> int:
         # both must pick the same representation per element
         expect = sg.apery_bruteforce(S, S.generators[-1])
         k = len(S.generators)
-        order = apery_order(k, k, S.generators)
-        basis = buchberger(ideal_generators(S, order), order)
-        scan = apery_mod.apery_delta(S, k, method="scan", basis=basis)
-        direct = apery_mod.apery_delta(S, k, method="direct", basis=basis)
+        direct = apery_mod.apery_delta(S, k)
+        scan = apery_mod.apery_delta(S, k, method="scan", basis=direct.basis)
         for got in (scan, direct):
             if list(got.elements) != expect:
                 return (S.generators, list(got.elements), expect)
@@ -406,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--gens", required=True, help="semicolon-separated points, e.g. 2,0;1,1;0,2")
     p.add_argument("--lambda", dest="lam", required=True, help="1-based generator indices")
-    p.add_argument("--x-order", default="lex")
     common(p)
     p.set_defaults(func=_cmd_affine)
 

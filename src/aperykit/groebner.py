@@ -13,8 +13,10 @@ bit of each field acts as a borrow guard: q divides v exactly when
 below the field width on entry, and rewriting never increases the
 weighted degree of a monomial, so the fields cannot overflow.  The
 public API speaks plain integer tuples.
-Only this module knows the field layout; it also holds the one staircase
-face walk (``face_complement``) and corner test (``corner_test``).
+Only this module knows the field layout; it also holds the one builder of
+defining binomials (``defining_binomials``, for generators in any Z^d),
+the one staircase face walk (``face_complement``) and the one corner test
+(``corner_test``).
 """
 
 from __future__ import annotations
@@ -64,24 +66,26 @@ def oriented(u: Exponent, v: Exponent, order: OrderSpec) -> Binomial | None:
     return Binomial(u, v) if c == GREATER else Binomial(v, u)
 
 
-def ideal_generators(S, order: OrderSpec) -> list[Binomial]:
-    """Defining binomials of the kernel ideal of x^l -> (x, y_1..y_k).
+def defining_binomials(points, order: OrderSpec) -> list[Binomial]:
+    """Binomials y_p - x^{a_p} of the kernel ideal, one per point a_p in Z^d.
 
-    One binomial per generator relates y_i to x^{a_i}; the orientation is
-    fixed by ``order`` (under any elimination ordering for x the x side
-    leads).
+    The variables are x_1..x_d, then y_1..y_k, so d is ``order.num_vars``
+    less the number of points; numerical monoids are the case d = 1.  The
+    orientation is fixed by ``order`` (under any elimination ordering for
+    x the x side leads).
     """
-    gens = S.generators
-    m = len(gens) + 1
-    out = []
-    for i, a in enumerate(gens, start=1):
-        x_side = tuple(a if c == 0 else 0 for c in range(m))
-        y_side = tuple(1 if c == i else 0 for c in range(m))
-        b = oriented(x_side, y_side, order)
-        if b is None:
-            raise InternalInvariantError("degenerate defining binomial")
-        out.append(b)
-    return out
+    m = order.num_vars
+    k = len(points)
+    # the two sides differ in the y_p field, so ``oriented`` never gives None
+    return [
+        oriented(tuple(a) + (0,) * k, (0,) * (m - k + p) + (1,) + (0,) * (k - p - 1), order)
+        for p, a in enumerate(points)
+    ]
+
+
+def ideal_generators(S, order: OrderSpec) -> list[Binomial]:
+    """Defining binomials of the numerical monoid S, its generators as points of Z^1."""
+    return defining_binomials([(a,) for a in S.generators], order)
 
 
 def pack_exponent(v) -> int:
