@@ -168,9 +168,10 @@ def apery_delta(
         raise ValueError(f"unknown method {method!r}")
     if basis is None:
         basis = buchberger(ideal_generators(S, order), order)
-    elif basis.order.label != order.label:
+    elif basis.order != order:
         raise ValueError(
-            f"supplied basis was built for {basis.order.label!r}, need {order.label!r}"
+            f"supplied basis was built under weight rows {basis.order.rows}, "
+            f"need {order.label!r} with rows {order.rows}"
         )
     if method == "scan":
         reps = _delta_scan(S, j, basis)

@@ -7,9 +7,9 @@ data and symmetry), ``apery`` (Apery set with representations), ``typeset``
 as DOT), ``staircase`` (ASCII slice of the staircase complement) and
 ``verify`` (seeded oracle-equivalence sweeps).
 
-Exit codes: 0 on success, 1 on bad input, 2 on a broken internal
-invariant (which should never happen and means a bug).  With
-``--format json`` errors go to stderr as JSON too.
+Exit codes: 0 on success, 1 on bad input or a closed output pipe, 2 on
+a broken internal invariant (which should never happen and means a bug).
+With ``--format json`` errors go to stderr as JSON too.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 
@@ -285,6 +286,8 @@ def _cmd_staircase(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     rng = random.Random(args.seed)
     failures = 0
     checks = 0
@@ -463,7 +466,14 @@ def main(argv=None) -> int:
             sys.stderr.write(exc.usage)
         return _report_error(exc, "user", fmt)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here if the output fit the buffer
+        return code
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the flush at exit
+        # cannot raise again (the SIGPIPE note in the Python signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:  # every input-validation error
         return _report_error(exc, "user", args.format)
     except InternalInvariantError as exc:

@@ -17,6 +17,12 @@ Only this module knows the field layout; it also holds the one builder of
 defining binomials (``defining_binomials``, for generators in any Z^d),
 the one staircase face walk (``face_complement``) and the one corner test
 (``corner_test``).
+
+``buchberger`` has one insert path for inputs and S-pairs alike: both
+sides are rewritten packed by the loop's own reducer, the lead is chosen
+with one ``compare``, and elements whose lead a newer lead divides are
+always retired, so the leads stay an antichain and no separate
+interreduction pass is needed.  ``use_chain_criterion`` only prunes pairs.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, LengthMismatchError
 from .orders import EQUAL, GREATER, OrderSpec, compare
 
 Exponent = tuple[int, ...]
@@ -159,25 +165,31 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced basis of the binomial ideal generated by ``gens``.
 
+    Inputs and S-pairs take one insert path: both sides are rewritten by
+    the current basis, a binomial whose sides meet is dropped, and the
+    larger side becomes the new lead.  Every lead is thus irreducible when
+    it enters, and an element whose lead a newer lead divides is retired
+    from reductions and new pairs (Gebauer & Moeller, JSC 6, 1988), so the
+    leads stay an antichain and the last step only rewrites the trails.
+
     ``strategy`` picks the pending S-pair: "fifo" (the default) takes
     pairs in creation order, "normal" takes the pair with the smallest
-    lead-lcm (ties broken by creation index).  The reduced result is unique
+    lead-lcm (ties broken by creation order).  The reduced result is unique
     per (ideal, order), so the strategies agree; the test suite asserts
     that rather than trusting it, with "normal" as the cross-check.
 
     Pairs with coprime leads always reduce to zero and are never queued.
-    With ``use_chain_criterion`` the queue is additionally pruned through
-    the Gebauer-Moeller update: redundant pairs are dropped when a third
-    lead divides their lcm, and an element whose lead becomes divisible
-    by a newer lead stops participating in reductions and new pairs.
-    Elimination orderings on these ideals walk long staircase cascades.
-    There the selection strategy, not this pruning, separates milliseconds
-    from minutes: "normal" walks the cascades and "fifo" mostly does not,
-    while the chain criterion saves a constant factor under "fifo".
-    Switching it off costs time, never correctness.
+    ``use_chain_criterion`` only turns pair pruning on or off: redundant
+    pairs are dropped when a third lead divides their lcm.  Elimination
+    orderings on these ideals walk long staircase cascades.  There the
+    selection strategy, not this pruning, separates milliseconds from
+    minutes: "normal" walks the cascades and "fifo" mostly does not, while
+    the chain criterion saves a constant factor under "fifo".  Switching it
+    off costs time, never correctness.
     """
     if strategy not in ("normal", "fifo"):
         raise ValueError(f"unknown selection strategy {strategy!r}")
+    normal = strategy == "normal"
     m = order.num_vars
     high = _high_mask(m)
     ones = (1 << (m * _FIELD_BITS)) - 1
@@ -187,150 +199,90 @@ def buchberger(
 
     leads: list[int] = []
     trails: list[int] = []
-    lead_keys: list[tuple] = []
-    smasks: list[int] = []  # bit i set iff variable i occurs in the lead
-    alive: list[bool] = []
-    active: list[int] = []  # alive indices, ascending
+    smasks: list[int] = []  # bit c set iff variable c occurs in the lead
+    active: list[int] = []  # indices of the unretired elements, ascending
+    heap: list = []  # (rank, j, i) for the pair of elements i < j
+    pending: dict[tuple[int, int], int] = {}  # (j, i) -> lcm of the leads
+    reducer = PackedReducer(m, [])
 
-    heap: list = []
-    fifo: list = []
-    fifo_head = 0
-    pending: dict[tuple[int, int], int] = {}
-    counter = 0
+    def lcm(a: int, b: int) -> int:
+        sel = ((((a | high) - b) & high) >> guard) * field_ones
+        return (a & sel) | (b & (ones ^ sel))
 
-    def push_pair(i: int, j: int, lcm: int) -> None:
-        nonlocal counter
-        pending[(i, j)] = lcm
-        if strategy == "normal":
-            heapq.heappush(heap, (key(unpack_exponent(lcm, m)), counter, i, j))
-        else:
-            fifo.append((i, j))
-        counter += 1
-
-    def add_element(lead: Exponent, trail: Exponent) -> None:
+    def insert(u: int, v: int) -> None:
+        u = reducer.reduce_packed(u)
+        v = reducer.reduce_packed(v)
+        if u == v:
+            return
+        if compare(order, unpack_exponent(u, m), unpack_exponent(v, m)) != GREATER:
+            u, v = v, u
         h = len(leads)
-        lead_p = pack_exponent(lead)
-        trail_p = pack_exponent(trail)
-        smask = sum(1 << i for i, e in enumerate(lead) if e)
-        new_pairs: list[tuple[int, int]] = []
+        smask = sum(1 << c for c in range(m) if (u >> (c * _FIELD_BITS)) & field_ones)
         if use_chain_criterion:
             # one candidate pair per distinct lcm value, coprime preferred
             # (a coprime pair shields its peers and is then dropped itself)
             best: dict[int, tuple[bool, int]] = {}
             for g in active:
-                lg = leads[g]
-                ge = ((lg | high) - lead_p) & high
-                sel = (ge >> guard) * field_ones
-                lcm = (lg & sel) | (lead_p & (ones ^ sel))
-                coprime = not (smasks[g] & smask)
-                cur = best.get(lcm)
-                if cur is None or (coprime and not cur[0]):
-                    best[lcm] = (coprime, g)
+                lc = lcm(leads[g], u)
+                coprime = not smasks[g] & smask
+                if lc not in best or (coprime and not best[lc][0]):
+                    best[lc] = (coprime, g)
             # divisibility implies numerically-smaller packed value, so one
             # ascending sweep sees every potential dominator before its prey
             kept_lcms: list[int] = []
-            for lcm in sorted(best):
-                if any(((lcm | high) - l2) & high == high for l2 in kept_lcms):
+            new_pairs = []
+            for lc in sorted(best):
+                if any(((lc | high) - q) & high == high for q in kept_lcms):
                     continue
-                kept_lcms.append(lcm)
-                coprime, g = best[lcm]
+                kept_lcms.append(lc)
+                coprime, g = best[lc]
                 if not coprime:
-                    new_pairs.append((g, lcm))
+                    new_pairs.append((g, lc))
+            new_pairs.sort()
             # old pairs whose lcm the new lead splits strictly are redundant
-            drops = []
-            for pair, lcm in pending.items():
-                if ((lcm | high) - lead_p) & high != high:
-                    continue
-                i, j = pair
-                li = leads[i]
-                ge = ((li | high) - lead_p) & high
-                sel = (ge >> guard) * field_ones
-                if (li & sel) | (lead_p & (ones ^ sel)) == lcm:
-                    continue
-                lj = leads[j]
-                ge = ((lj | high) - lead_p) & high
-                sel = (ge >> guard) * field_ones
-                if (lj & sel) | (lead_p & (ones ^ sel)) == lcm:
-                    continue
-                drops.append(pair)
-            for pair in drops:
+            for pair in [
+                (j, i) for (j, i), lc in pending.items()
+                if ((lc | high) - u) & high == high
+                and lcm(leads[i], u) != lc and lcm(leads[j], u) != lc
+            ]:
                 del pending[pair]
-            # retire elements whose lead the new one divides
-            dead = [g for g in active if ((leads[g] | high) - lead_p) & high == high]
-            for g in dead:
-                alive[g] = False
         else:
-            dead = []
-            for g in active:
-                if smasks[g] & smask:
-                    lg = leads[g]
-                    ge = ((lg | high) - lead_p) & high
-                    sel = (ge >> guard) * field_ones
-                    new_pairs.append((g, (lg & sel) | (lead_p & (ones ^ sel))))
-        leads.append(lead_p)
-        trails.append(trail_p)
-        lead_keys.append(key(lead))
+            new_pairs = [(g, lcm(leads[g], u)) for g in active if smasks[g] & smask]
+        for g, lc in new_pairs:
+            pending[(h, g)] = lc
+            heapq.heappush(heap, (key(unpack_exponent(lc, m)) if normal else (), h, g))
+        # retire elements whose lead the new one divides
+        kept_active = [g for g in active if ((leads[g] | high) - u) & high != high]
+        leads.append(u)
+        trails.append(v)
         smasks.append(smask)
-        alive.append(True)
-        if dead:
-            active[:] = [g for g in active if alive[g]]
+        if len(kept_active) < len(active):
+            active[:] = kept_active
             reducer.items = [(leads[g], trails[g]) for g in active]
         active.append(h)
-        reducer.items.append((lead_p, trail_p))
-        new_pairs.sort()
-        for g, lcm in new_pairs:
-            push_pair(g, h, lcm)
+        reducer.items.append((u, v))
 
-    reducer = PackedReducer(m, [])
     for b in gens:
-        ob = oriented(tuple(b.lead), tuple(b.trail), order)
-        if ob is not None:
-            add_element(ob.lead, ob.trail)
+        lead, trail = tuple(b.lead), tuple(b.trail)
+        if len(lead) != m or len(trail) != m:
+            raise LengthMismatchError(
+                f"expected exponent vectors of length {m}, got {len(lead)} and {len(trail)}"
+            )
+        insert(pack_exponent(lead), pack_exponent(trail))
 
     while pending:
-        if strategy == "normal":
-            _, _, i, j = heapq.heappop(heap)
-        else:
-            i, j = fifo[fifo_head]
-            fifo_head += 1
-        lcm = pending.pop((i, j), None)
-        if lcm is None:
+        _, j, i = heapq.heappop(heap)
+        lc = pending.pop((j, i), None)
+        if lc is None:
             continue  # pruned after queueing
-        a = reducer.reduce_packed(lcm + trails[i] - leads[i])
-        b = reducer.reduce_packed(lcm + trails[j] - leads[j])
-        if a == b:
-            continue
-        ua = unpack_exponent(a, m)
-        ub = unpack_exponent(b, m)
-        nb = oriented(ua, ub, order)
-        add_element(nb.lead, nb.trail)
+        insert(lc + trails[i] - leads[i], lc + trails[j] - leads[j])
 
-    return _interreduce(
-        [leads[g] for g in active],
-        [trails[g] for g in active],
-        [lead_keys[g] for g in active],
-        order,
-    )
-
-
-def _interreduce(leads, trails, lead_keys, order: OrderSpec) -> GroebnerBasis:
-    """Minimalize leads, fully reduce trails, and package the result."""
-    m = order.num_vars
-    high = _high_mask(m)
-    indexed = sorted(range(len(leads)), key=lambda i: lead_keys[i])
-    kept: list[tuple[int, int]] = []
-    for idx in indexed:
-        lead = leads[idx]
-        if any(((lead | high) - q) & high == high for q, _ in kept):
-            continue
-        kept.append((lead, trails[idx]))
     # a lead never divides its own trail (the trail sits strictly below
-    # it), so reducing against the full kept list is safe
-    reducer = PackedReducer(m, kept)
-    reduced = [(lead, reducer.reduce_packed(trail)) for lead, trail in kept]
+    # it), so the loop's reducer, which holds every active element, is safe
     elements = []
-    for lead, trail in reduced:
-        b = Binomial(unpack_exponent(lead, m), unpack_exponent(trail, m))
+    for _, g in sorted((key(unpack_exponent(leads[g], m)), g) for g in active):
+        trail = reducer.reduce_packed(trails[g])
+        b = Binomial(unpack_exponent(leads[g], m), unpack_exponent(trail, m))
         if compare(order, b.lead, b.trail) != GREATER:
             raise InternalInvariantError("reduced element lost its orientation")
         elements.append(b)
