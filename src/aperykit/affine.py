@@ -27,7 +27,9 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .errors import ConeMismatchError, InternalInvariantError, ScanLimitError
-from .groebner import Binomial, buchberger, defining_binomials, face_complement
+from .groebner import (
+    Binomial, buchberger, defining_binomials, face_complement, pack_exponent, unpack_exponent,
+)
 from .orders import OrderSpec, block_lambda_order, eliminate, integer_rank
 from .semigroup import max_scan_limit
 
@@ -193,7 +195,9 @@ def apery_affine(
     n = len(lam.indices)
     order = block_lambda_order(d, reordered, n, x_order=x_order)
     basis = buchberger(affine_ideal_generators(M, reordered, order), order)
-    reps = face_complement(basis, range(d, d + k - n), lambda v: graded_degree(v, d, reordered))
+    weights = [pack_exponent(a) for a in reordered[: k - n]]  # nonnegative: packed sums add
+    walk = face_complement(basis, range(d, d + k - n), weights)
+    reps = {unpack_exponent(g, d): p for g, p in walk.items()}
     return AffineAperyReport(
         monoid=M,
         lambda_indices=lam.indices,

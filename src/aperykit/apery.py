@@ -158,8 +158,8 @@ def apery_delta(
     until every residue class mod a_j is filled, and serves as the
     cross-check.  Both return, per degree, the unique standard monomial on
     that face, so elements and representations agree.  A prebuilt
-    ``basis`` for the matching ordering may be supplied to skip the
-    Buchberger run; either way the report carries the basis it used.
+    ``basis`` for the matching ordering and monoid (else ValueError) skips
+    the Buchberger run; either way the report carries the basis it used.
     """
     gens = S.generators
     k = len(gens)
@@ -173,11 +173,15 @@ def apery_delta(
             f"supplied basis was built under weight rows {basis.order.rows}, "
             f"need {order.label!r} with rows {order.rows}"
         )
+    elif any(phi_degree(b.lead, gens) != phi_degree(b.trail, gens) for b in basis.elements):
+        # a binomial lies in the toric ideal of S iff it is S-homogeneous, and
+        # nested toric ideals of equal height are equal: this pins the monoid
+        raise ValueError(f"supplied basis is not {gens}-homogeneous: built for another monoid")
     if method == "scan":
         reps = _delta_scan(S, j, basis)
     else:
         free_cols = [c for c in range(1, k + 1) if c != j]
-        reps = face_complement(basis, free_cols, lambda v: phi_degree(v, gens))
+        reps = face_complement(basis, free_cols, [gens[c - 1] for c in free_cols])
     aj = gens[j - 1]
     elements = tuple(sorted(reps))
     _check_report_invariants(gens, aj, elements, reps, j)

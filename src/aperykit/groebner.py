@@ -5,18 +5,20 @@ sight stays a pair of exponent vectors: S-polynomials of binomials are
 binomials, and reducing a binomial amounts to rewriting its two monomials
 independently until neither is divisible by a leading exponent.
 
-Internally a monomial lives in a single Python integer, 64 bits per
-variable, so divisibility tests and lead -> trail rewrites are two or
-three big-integer operations instead of per-coordinate loops.  The top
-bit of each field acts as a borrow guard: q divides v exactly when
+Internally a monomial lives in a single Python integer: field i is the
+i-th little-endian unsigned 64-bit word, so one cached ``struct.Struct``
+packs or unpacks a whole vector, and divisibility tests and lead -> trail
+rewrites are two or three big-integer operations.  The top bit of each
+field acts as a borrow guard: q divides v exactly when
 ``((v | HIGH) - q) & HIGH == HIGH``.  Exponents are asserted to be far
 below the field width on entry, and rewriting never increases the
 weighted degree of a monomial, so the fields cannot overflow.  The
 public API speaks plain integer tuples.
-Only this module knows the field layout; it also holds the one builder of
-defining binomials (``defining_binomials``, for generators in any Z^d),
-the one staircase face walk (``face_complement``) and the one corner test
-(``corner_test``).
+Only this module knows the field layout and the divisibility indexes on
+it (reducer leads by support, face corners by field); it also holds the
+one builder of defining binomials (``defining_binomials``, for generators
+in any Z^d), the one staircase face walk (``face_complement``) and the
+one general corner test (``corner_test``).
 
 ``buchberger`` has one insert path for inputs and S-pairs alike: both
 sides are rewritten packed by the loop's own reducer, the lead is chosen
@@ -28,7 +30,10 @@ interreduction pass is needed.  ``use_chain_criterion`` only prunes pairs.
 from __future__ import annotations
 
 import heapq
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 
 from .errors import InternalInvariantError, LengthMismatchError
 from .orders import EQUAL, GREATER, OrderSpec, compare
@@ -36,6 +41,7 @@ from .orders import EQUAL, GREATER, OrderSpec, compare
 Exponent = tuple[int, ...]
 
 _FIELD_BITS = 64
+_GUARD = _FIELD_BITS - 1
 _FIELD_LIMIT = 1 << 62
 
 
@@ -94,42 +100,55 @@ def ideal_generators(S, order: OrderSpec) -> list[Binomial]:
     return defining_binomials([(a,) for a in S.generators], order)
 
 
+@lru_cache(maxsize=None)
+def _layout(m: int) -> struct.Struct:
+    """The packed layout of m fields as bytes: one little-endian uint64 each."""
+    return struct.Struct(f"<{m}Q")
+
+
 def pack_exponent(v) -> int:
     """Stack exponents into one integer, 64 bits per variable."""
-    x = 0
-    shift = 0
-    for e in v:
-        if e < 0 or e >= _FIELD_LIMIT:
-            raise ValueError(f"exponent {e} out of packable range")
-        x |= e << shift
-        shift += _FIELD_BITS
-    return x
+    v = tuple(v)
+    if v and not 0 <= min(v) <= max(v) < _FIELD_LIMIT:
+        bad = next(e for e in v if not 0 <= e < _FIELD_LIMIT)
+        raise ValueError(f"exponent {bad} out of packable range")
+    return int.from_bytes(_layout(len(v)).pack(*v), "little")
 
 
 def unpack_exponent(x: int, m: int) -> Exponent:
-    mask = (1 << _FIELD_BITS) - 1
-    return tuple((x >> (i * _FIELD_BITS)) & mask for i in range(m))
+    return _layout(m).unpack(x.to_bytes(_FIELD_BITS // 8 * m, "little"))
 
 
 def _high_mask(m: int) -> int:
-    return sum(1 << (i * _FIELD_BITS + _FIELD_BITS - 1) for i in range(m))
+    return sum(1 << (i * _FIELD_BITS + _GUARD) for i in range(m))
+
+
+def _support(v: int, high: int) -> int:
+    """Guard bits of the nonzero fields of packed v: (f | 2^63) - 1 keeps bit 63 iff f > 0."""
+    return ((v | high) - (high >> _GUARD)) & high
 
 
 class PackedReducer:
     """Reusable rewriting engine for repeated queries against one basis.
 
-    Holds the basis as packed (lead, trail) pairs; ``reduce_packed`` walks
-    the list in a fixed order and restarts after each substitution, which
-    keeps results deterministic.  Each substitution strictly lowers the
-    monomial in the basis ordering, so the walk terminates.
+    Holds the basis as packed (lead, trail, lead support) items;
+    ``reduce_packed`` rewrites with the first lead in item order that divides the monomial
+    and restarts after each substitution, which keeps results
+    deterministic.  Each substitution strictly lowers the monomial in the
+    basis ordering, so the walk terminates.  Only leads whose support lies
+    inside the monomial's can divide it, so only those are scanned: one
+    list per support, in item order, built on first use and stored whole
+    (a race costs at most a rebuild).  Whoever changes ``items`` resets
+    ``by_support``.
     """
 
-    __slots__ = ("m", "high", "items")
+    __slots__ = ("m", "high", "items", "by_support")
 
     def __init__(self, m: int, items):
         self.m = m
-        self.high = _high_mask(m)
-        self.items = list(items)
+        self.high = high = _high_mask(m)
+        self.items = [(q, t, _support(q, high)) for q, t in items]
+        self.by_support: dict[int, list[tuple[int, int]]] = {}
 
     @classmethod
     def for_basis(cls, basis: "GroebnerBasis") -> "PackedReducer":
@@ -141,17 +160,19 @@ class PackedReducer:
 
     def reduce_packed(self, v: int) -> int:
         high = self.high
-        items = self.items
-        n = len(items)
-        i = 0
-        while i < n:
-            q, t = items[i]
-            if ((v | high) - q) & high == high:
-                v += t - q
-                i = 0
+        by_support = self.by_support
+        while True:
+            key = _support(v, high)
+            candidates = by_support.get(key)
+            if candidates is None:
+                candidates = [(q, t) for q, t, s in self.items if s & key == s]
+                by_support[key] = candidates
+            for q, t in candidates:
+                if ((v | high) - q) & high == high:
+                    v += t - q
+                    break
             else:
-                i += 1
-        return v
+                return v
 
     def reduce_exponent(self, v: Exponent) -> Exponent:
         return unpack_exponent(self.reduce_packed(pack_exponent(v)), self.m)
@@ -194,19 +215,18 @@ def buchberger(
     high = _high_mask(m)
     ones = (1 << (m * _FIELD_BITS)) - 1
     field_ones = (1 << _FIELD_BITS) - 1
-    guard = _FIELD_BITS - 1
     key = order.key
 
     leads: list[int] = []
     trails: list[int] = []
-    smasks: list[int] = []  # bit c set iff variable c occurs in the lead
+    smasks: list[int] = []  # ``_support`` of each lead
     active: list[int] = []  # indices of the unretired elements, ascending
     heap: list = []  # (rank, j, i) for the pair of elements i < j
     pending: dict[tuple[int, int], int] = {}  # (j, i) -> lcm of the leads
     reducer = PackedReducer(m, [])
 
     def lcm(a: int, b: int) -> int:
-        sel = ((((a | high) - b) & high) >> guard) * field_ones
+        sel = ((((a | high) - b) & high) >> _GUARD) * field_ones
         return (a & sel) | (b & (ones ^ sel))
 
     def insert(u: int, v: int) -> None:
@@ -217,7 +237,7 @@ def buchberger(
         if compare(order, unpack_exponent(u, m), unpack_exponent(v, m)) != GREATER:
             u, v = v, u
         h = len(leads)
-        smask = sum(1 << c for c in range(m) if (u >> (c * _FIELD_BITS)) & field_ones)
+        smask = _support(u, high)
         if use_chain_criterion:
             # one candidate pair per distinct lcm value, coprime preferred
             # (a coprime pair shields its peers and is then dropped itself)
@@ -258,9 +278,10 @@ def buchberger(
         smasks.append(smask)
         if len(kept_active) < len(active):
             active[:] = kept_active
-            reducer.items = [(leads[g], trails[g]) for g in active]
+            reducer.items = [(leads[g], trails[g], smasks[g]) for g in active]
         active.append(h)
-        reducer.items.append((u, v))
+        reducer.items.append((u, v, smask))
+        reducer.by_support = {}
 
     for b in gens:
         lead, trail = tuple(b.lead), tuple(b.trail)
@@ -355,40 +376,53 @@ def in_staircase_complement(v: Exponent, basis: GroebnerBasis) -> bool:
     return not corner_test(basis)(pack_exponent(v))
 
 
-def face_complement(basis: GroebnerBasis, free_cols, degree) -> dict:
-    """``{degree(p): p}`` over the staircase-complement points p of a face.
+def face_complement(basis: GroebnerBasis, free_cols, weights) -> dict:
+    """``{degree: p}`` over the staircase-complement points p of a face.
 
     The face is where the variables outside ``free_cols`` vanish.  Its
     complement is downward closed, so a walk from the origin raising the
     free variables in column order and stopping where a corner divides
     reaches each point once.  A pure-power corner for every free variable
     certifies finiteness and is checked first; a repeated degree raises.
+
+    ``weights[i]`` is the packed degree of a step in ``free_cols[i]`` (a
+    scalar ``(a,)`` packs to ``a``): degrees are carried down the walk and
+    points unpacked only on return.  A visited point v is uncovered, so
+    only a corner q with q_i = v_i + 1 can block the step v + e_i: the
+    corners are bucketed by that field.
     """
     m = basis.order.num_vars
-    covered = corner_test(basis, field_mask(free_cols))
+    high = _high_mask(m)
+    face = field_mask(free_cols)
     steps = [field_step(c) for c in free_cols]
-    for c, step in zip(free_cols, steps):
-        # only a pure power of variable c divides its largest packable power
-        if not covered((_FIELD_LIMIT - 1) * step):
+    fields = [field_mask((c,)) for c in free_cols]
+    # a corner involving a variable that is 0 on the face divides none of it
+    corners = [q for q in map(pack_exponent, basis.corners) if not q & ~face]
+    for c, field in zip(free_cols, fields):
+        if not any(q & field == q for q in corners if q):
             raise InternalInvariantError(f"no pure-power corner bounds variable {c}")
+    buckets: dict[int, list[int]] = {}  # q & field of column c -> corners q
+    for q in corners:
+        for field in fields:
+            if q & field:
+                buckets.setdefault(q & field, []).append(q)
     out = {}
-    frontier = [(0, 0)]
+    frontier = [(0, 0, 0)]
     while frontier:
-        v, first = frontier.pop()
-        point = unpack_exponent(v, m)
-        d = degree(point)
+        v, first, d = frontier.pop()
         if d in out:
             raise InternalInvariantError(f"degree {d} reached twice in the face")
-        out[d] = point
+        out[d] = v
         for i in range(first, len(steps)):
-            if not covered(v + steps[i]):
-                frontier.append((v + steps[i], i))
-    return out
+            w = v + steps[i]
+            for q in buckets.get(w & fields[i], ()):
+                if ((w | high) - q) & high == high:
+                    break
+            else:
+                frontier.append((w, i, d + weights[i]))
+    return {d: unpack_exponent(v, m) for d, v in out.items()}
 
 
 def phi_degree(v: Exponent, weights) -> int:
     """Weighted degree v_0 + sum(v_i * a_i); invariant under normal forms."""
-    total = v[0]
-    for e, a in zip(v[1:], weights):
-        total += e * a
-    return total
+    return sum(map(mul, v[1:], weights), v[0])

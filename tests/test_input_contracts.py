@@ -56,3 +56,19 @@ def test_apery_delta_rejects_a_basis_built_for_other_weights():
     assert apery_order(4, 4, S.generators).label == order.label
     with pytest.raises(ValueError, match="weight rows"):
         apery_delta(S, 4, basis=basis)
+
+
+@pytest.mark.parametrize("method", ["direct", "scan"])
+@pytest.mark.parametrize("a", [10, 11, 12, 19, 20])
+def test_apery_delta_rejects_a_basis_built_for_another_monoid(method, a):
+    # apery_order gives y_4 no grading weight, so <7,8,9,a> and <7,8,9,13>
+    # share the ordering; only the binomials' degrees tell the monoids apart
+    other = (7, 8, 9, a)
+    order = apery_order(4, 4, other)
+    basis = buchberger(ideal_generators(NumericalSemigroup(other), order), order)
+    S = NumericalSemigroup((7, 8, 9, 13))
+    assert apery_order(4, 4, S.generators) == order
+    with pytest.raises(ValueError, match="another monoid"):
+        apery_delta(S, 4, method=method, basis=basis)
+    own = apery_delta(S, 4, method=method)
+    assert apery_delta(S, 4, method=method, basis=own.basis) == own

@@ -31,6 +31,7 @@ from aperykit.groebner import (
     face_complement,
     ideal_generators,
     in_staircase_complement,
+    pack_exponent,
     phi_degree,
 )
 from aperykit.orders import apery_order, block_lambda_order, lex_order
@@ -41,7 +42,7 @@ SEED = 6151
 
 
 def numerical_cases():
-    """(basis, free columns, degree) for every Apery ordering of a seeded corpus."""
+    """(basis, free columns, weights, degree) for every Apery ordering of a seeded corpus."""
     out = []
     for S in random_corpus(SEED, 12, kmin=2, kmax=5, max_gen=40):
         gens = S.generators
@@ -50,12 +51,16 @@ def numerical_cases():
             order = apery_order(k, j, gens)
             basis = buchberger(ideal_generators(S, order), order)
             free = [c for c in range(1, k + 1) if c != j]
-            out.append((basis, free, lambda v, g=gens: phi_degree(v, g)))
+            weights = [gens[c - 1] for c in free]
+            out.append((basis, free, weights, lambda v, g=gens: phi_degree(v, g)))
     return out
 
 
 def affine_cases():
-    """The same for the block orderings of seeded axis-Lambda affine monoids."""
+    """The same for the block orderings of seeded axis-Lambda affine monoids.
+
+    The walk carries packed Z^d degrees, so the reference degree is packed too.
+    """
     rng = random.Random(SEED)
     out = []
     for _ in range(12):
@@ -72,7 +77,10 @@ def affine_cases():
         order = block_lambda_order(d, reordered, d)
         basis = buchberger(affine_ideal_generators(M, reordered, order), order)
         free = list(range(d, d + len(others)))
-        out.append((basis, free, lambda v, d=d, r=reordered: graded_degree(v, d, r)))
+        weights = [pack_exponent(a) for a in reordered[: len(others)]]
+        out.append((
+            basis, free, weights, lambda v, d=d, r=reordered: pack_exponent(graded_degree(v, d, r))
+        ))
     return out
 
 
@@ -97,8 +105,8 @@ def box_scan(basis, free_cols, degree):
 class TestFaceComplement:
     @pytest.mark.parametrize("cases", [numerical_cases, affine_cases])
     def test_equals_the_box_scan(self, cases):
-        for basis, free, degree in cases():
-            assert face_complement(basis, free, degree) == box_scan(basis, free, degree)
+        for basis, free, weights, degree in cases():
+            assert face_complement(basis, free, weights) == box_scan(basis, free, degree)
 
     def test_rejects_a_face_without_a_pure_power_corner(self):
         # y1*y2 bounds neither y1 nor y2 alone: the complement is infinite
@@ -106,14 +114,14 @@ class TestFaceComplement:
             order=lex_order(3), elements=(), corners=frozenset({(0, 1, 1), (1, 0, 0)})
         )
         with pytest.raises(InternalInvariantError, match="pure-power corner"):
-            face_complement(basis, [1, 2], sum)
+            face_complement(basis, [1, 2], [1, 1])
 
     def test_rejects_a_degree_reached_twice(self):
         S = NumericalSemigroup([7, 9, 11])
         order = apery_order(3, 3, S.generators)
         basis = buchberger(ideal_generators(S, order), order)
         with pytest.raises(InternalInvariantError, match="reached twice"):
-            face_complement(basis, [1, 2], lambda v: 0)
+            face_complement(basis, [1, 2], [0, 0])
 
 
 def tuple_extremal(S, report, basis):
