@@ -175,7 +175,6 @@ def apery_affine(
     M: AffineMonoid,
     lam: LambdaChoice | None = None,
     indices=None,
-    x_order: OrderSpec | None = None,
 ) -> AffineAperyReport:
     """Ap(S, Lambda) via the block ordering and its reduced basis.
 
@@ -183,17 +182,20 @@ def apery_affine(
     variables vanish are walked by :func:`aperykit.groebner.face_complement`;
     each free coordinate is bounded by a pure-power corner whose existence
     follows from the cone certificates, and is checked.  The graded
-    degrees of those points are exactly the Apery set.
+    degrees of those points are exactly the Apery set.  A ``lam``
+    certified for another monoid raises ValueError.
     """
     if lam is None:
         if indices is None:
             raise ValueError("either a LambdaChoice or indices must be given")
         lam = validate_lambda(M, indices)
+    elif lam.monoid != M:
+        raise ValueError("the LambdaChoice was certified for another monoid")
     d = M.dim
     reordered = lam.reordered
     k = len(reordered)
     n = len(lam.indices)
-    order = block_lambda_order(d, reordered, n, x_order=x_order)
+    order = block_lambda_order(d, reordered, n)
     basis = buchberger(affine_ideal_generators(M, reordered, order), order)
     weights = [pack_exponent(a) for a in reordered[: k - n]]  # nonnegative: packed sums add
     walk = face_complement(basis, range(d, d + k - n), weights)

@@ -217,26 +217,27 @@ def extremal_set(
     """Apery elements whose representation admits no growth inside the face.
 
     N stays when bumping any non-eliminated coordinate y_i of its
-    representation lands inside the staircase.  The report holds every
-    standard monomial of the face x = y_k = 0, one per degree, and the
-    bump has degree N + a_i, so it is standard exactly when it is the
-    report's representation of N + a_i: one lookup per coordinate.
+    representation rep(N) lands inside the staircase.  The report holds
+    every standard monomial of the face x = y_k = 0, one per degree, and
+    they are closed downward: if the representation r' of N + a_i has
+    y_i >= 1, then r' - y_i is standard of degree N, so it is rep(N).
+    So the bump is standard iff ``reps[N + a_i]`` exists with y_i >= 1:
+    one lookup per coordinate, and no tuple is built.
     """
     if report.order_used != basis.order.label:
         raise ValueError("report and basis were built under different orderings")
     gens = S.generators
+    if report.generators != gens:
+        raise ValueError(f"report was built for {report.generators}, not {gens}")
     if report.wrt != gens[-1]:
         raise ValueError("extremal sets are defined with respect to a_k")
     reps = report.representations
-    out = []
-    for element in report.elements:
-        rep = reps[element]
-        if all(
-            reps.get(element + gens[i - 1]) != rep[:i] + (rep[i] + 1,) + rep[i + 1:]
-            for i in range(1, len(gens))
-        ):
-            out.append(element)
-    return out
+    absent = (0,) * len(gens)
+    steps = list(enumerate(gens[:-1], start=1))
+    return [
+        element for element in report.elements
+        if not any(reps.get(element + a, absent)[i] for i, a in steps)
+    ]
 
 
 def _rotation_sequence(k: int, i: int) -> tuple[int, ...]:

@@ -26,7 +26,7 @@ from . import apery as apery_mod
 from . import homology as homology_mod
 from . import semigroup as sg
 from .errors import BadAxesError, InternalInvariantError, ScanLimitError
-from .groebner import GroebnerBasis, buchberger, corner_test, ideal_generators, pack_exponent
+from .groebner import GroebnerBasis, buchberger, ideal_generators, pack_exponent, reducer_for
 from .orders import parse_apery_descriptor, parse_order_descriptor
 from .sampling import random_semigroup
 from .semigroup import NumericalSemigroup
@@ -230,7 +230,7 @@ def render_staircase(basis: GroebnerBasis, fixed: dict, axes, extent) -> str:
     for c, value in fixed.items():
         base[c] = int(value)
     names = ["x"] + [f"y{i}" for i in range(1, m)]
-    covered = corner_test(basis)
+    covered = reducer_for(basis).reducible
     lines = []
     for row in range(height - 1, -1, -1):
         cells = []

@@ -17,8 +17,9 @@ public API speaks plain integer tuples.
 Only this module knows the field layout and the divisibility indexes on
 it (reducer leads by support, face corners by field); it also holds the
 one builder of defining binomials (``defining_binomials``, for generators
-in any Z^d), the one staircase face walk (``face_complement``) and the
-one general corner test (``corner_test``).
+in any Z^d) and the one staircase face walk (``face_complement``).
+Standardness is read off the basis's own reducer
+(``PackedReducer.reducible``), not off a second index of its corners.
 
 ``buchberger`` has one insert path for inputs and S-pairs alike: both
 sides are rewritten packed by the loop's own reducer, the lead is chosen
@@ -135,11 +136,11 @@ class PackedReducer:
     ``reduce_packed`` rewrites with the first lead in item order that divides the monomial
     and restarts after each substitution, which keeps results
     deterministic.  Each substitution strictly lowers the monomial in the
-    basis ordering, so the walk terminates.  Only leads whose support lies
-    inside the monomial's can divide it, so only those are scanned: one
-    list per support, in item order, built on first use and stored whole
-    (a race costs at most a rebuild).  Whoever changes ``items`` resets
-    ``by_support``.
+    basis ordering, so the walk terminates; ``reducible`` only asks if a
+    lead divides.  Only leads whose support lies inside the monomial's can
+    divide it, so both scan only those: one list per support, in item
+    order, built on first use and stored whole (a race costs at most a
+    rebuild).  Whoever changes ``items`` resets ``by_support``.
     """
 
     __slots__ = ("m", "high", "items", "by_support")
@@ -158,21 +159,29 @@ class PackedReducer:
             [(pack_exponent(b.lead), pack_exponent(b.trail)) for b in basis.elements],
         )
 
+    def _candidates(self, v: int) -> list[tuple[int, int]]:
+        """The (lead, trail) items whose lead support lies inside packed v's."""
+        key = _support(v, self.high)
+        candidates = self.by_support.get(key)
+        if candidates is None:
+            candidates = [(q, t) for q, t, s in self.items if s & key == s]
+            self.by_support[key] = candidates
+        return candidates
+
     def reduce_packed(self, v: int) -> int:
         high = self.high
-        by_support = self.by_support
         while True:
-            key = _support(v, high)
-            candidates = by_support.get(key)
-            if candidates is None:
-                candidates = [(q, t) for q, t, s in self.items if s & key == s]
-                by_support[key] = candidates
-            for q, t in candidates:
+            for q, t in self._candidates(v):
                 if ((v | high) - q) & high == high:
                     v += t - q
                     break
             else:
                 return v
+
+    def reducible(self, v: int) -> bool:
+        """True iff some lead divides packed v, i.e. monomial(v) is not standard."""
+        high = self.high
+        return any(((v | high) - q) & high == high for q, _ in self._candidates(v))
 
     def reduce_exponent(self, v: Exponent) -> Exponent:
         return unpack_exponent(self.reduce_packed(pack_exponent(v)), self.m)
@@ -219,12 +228,12 @@ def buchberger(
 
     leads: list[int] = []
     trails: list[int] = []
-    smasks: list[int] = []  # ``_support`` of each lead
     active: list[int] = []  # indices of the unretired elements, ascending
     heap: list = []  # (rank, j, i) for the pair of elements i < j
     pending: dict[tuple[int, int], int] = {}  # (j, i) -> lcm of the leads
     reducer = PackedReducer(m, [])
 
+    # fields stay below the guard bit: lcm(a, b) == a + b iff a, b are coprime
     def lcm(a: int, b: int) -> int:
         sel = ((((a | high) - b) & high) >> _GUARD) * field_ones
         return (a & sel) | (b & (ones ^ sel))
@@ -237,14 +246,13 @@ def buchberger(
         if compare(order, unpack_exponent(u, m), unpack_exponent(v, m)) != GREATER:
             u, v = v, u
         h = len(leads)
-        smask = _support(u, high)
         if use_chain_criterion:
             # one candidate pair per distinct lcm value, coprime preferred
             # (a coprime pair shields its peers and is then dropped itself)
             best: dict[int, tuple[bool, int]] = {}
             for g in active:
                 lc = lcm(leads[g], u)
-                coprime = not smasks[g] & smask
+                coprime = lc == leads[g] + u
                 if lc not in best or (coprime and not best[lc][0]):
                     best[lc] = (coprime, g)
             # divisibility implies numerically-smaller packed value, so one
@@ -267,20 +275,19 @@ def buchberger(
             ]:
                 del pending[pair]
         else:
-            new_pairs = [(g, lcm(leads[g], u)) for g in active if smasks[g] & smask]
+            new_pairs = [(g, lc) for g in active if (lc := lcm(leads[g], u)) != leads[g] + u]
         for g, lc in new_pairs:
             pending[(h, g)] = lc
             heapq.heappush(heap, (key(unpack_exponent(lc, m)) if normal else (), h, g))
-        # retire elements whose lead the new one divides
+        # retire elements whose lead the new one divides (``reducer.items`` mirrors ``active``)
         kept_active = [g for g in active if ((leads[g] | high) - u) & high != high]
-        leads.append(u)
-        trails.append(v)
-        smasks.append(smask)
         if len(kept_active) < len(active):
             active[:] = kept_active
-            reducer.items = [(leads[g], trails[g], smasks[g]) for g in active]
+            reducer.items = [it for it in reducer.items if ((it[0] | high) - u) & high != high]
+        leads.append(u)
+        trails.append(v)
         active.append(h)
-        reducer.items.append((u, v, smask))
+        reducer.items.append((u, v, _support(u, high)))
         reducer.by_support = {}
 
     for b in gens:
@@ -334,13 +341,21 @@ def reducer_for(basis: GroebnerBasis) -> PackedReducer:
     return reducer
 
 
+def _check_length(v: Exponent, basis: GroebnerBasis) -> None:
+    if len(v) != basis.order.num_vars:
+        raise ValueError(f"expected an exponent vector of length {basis.order.num_vars}")
+
+
 def normal_form(v: Exponent, basis: GroebnerBasis) -> Exponent:
     """The unique irreducible exponent equivalent to v modulo the ideal."""
-    if len(v) != basis.order.num_vars:
-        raise ValueError(
-            f"expected an exponent vector of length {basis.order.num_vars}"
-        )
+    _check_length(v, basis)
     return reducer_for(basis).reduce_exponent(tuple(v))
+
+
+def in_staircase_complement(v: Exponent, basis: GroebnerBasis) -> bool:
+    """True iff no lead divides v, i.e. monomial(v) survives reduction."""
+    _check_length(v, basis)
+    return not reducer_for(basis).reducible(pack_exponent(v))
 
 
 def field_mask(cols) -> int:
@@ -351,29 +366,6 @@ def field_mask(cols) -> int:
 def field_step(c: int) -> int:
     """Packed exponent of variable c alone: adding it bumps that field."""
     return 1 << (c * _FIELD_BITS)
-
-
-def corner_test(basis: GroebnerBasis, face: int = -1):
-    """Predicate on packed v: True iff a corner of ``basis`` divides v.
-
-    Keeps the corners inside the ``face`` mask (default: all variables),
-    the only ones that can divide a point of that face.
-    """
-    high = _high_mask(basis.order.num_vars)
-    corners = [q for q in map(pack_exponent, basis.corners) if not q & ~face]
-
-    def covered(v: int) -> bool:
-        for q in corners:
-            if ((v | high) - q) & high == high:
-                return True
-        return False
-
-    return covered
-
-
-def in_staircase_complement(v: Exponent, basis: GroebnerBasis) -> bool:
-    """True iff no corner divides v, i.e. monomial(v) survives reduction."""
-    return not corner_test(basis)(pack_exponent(v))
 
 
 def face_complement(basis: GroebnerBasis, free_cols, weights) -> dict:

@@ -134,10 +134,10 @@ def _unit(m: int, col: int, sign: int = 1) -> tuple[int, ...]:
     return tuple(sign if i == col else 0 for i in range(m))
 
 
-def lex_order(num_vars: int, label: str = "lex") -> OrderSpec:
+def lex_order(num_vars: int) -> OrderSpec:
     """Plain lexicographic ordering, first variable most significant."""
     rows = tuple(_unit(num_vars, c) for c in range(num_vars))
-    return OrderSpec(num_vars=num_vars, rows=rows, label=label)
+    return OrderSpec(num_vars=num_vars, rows=rows, label="lex")
 
 
 def apery_order(k, j, weights, inner=None, flavor: str = "lex") -> OrderSpec:
@@ -193,10 +193,10 @@ def apery_order(k, j, weights, inner=None, flavor: str = "lex") -> OrderSpec:
     return OrderSpec(num_vars=m, rows=tuple(rows), label=label)
 
 
-def block_lambda_order(d, generators, n, x_order: OrderSpec | None = None) -> OrderSpec:
+def block_lambda_order(d, generators, n) -> OrderSpec:
     """Block ordering on Q[x_1..x_d, y_1..y_k] for an affine Apery computation.
 
-    The x block is compared first (by ``x_order``, default lex).  Ties fall
+    The x block is compared first, lexicographically.  Ties fall
     to the y block, graded coordinate-by-coordinate by the generator matrix,
     then broken reverse-lexicographically from y_k down to y_2, so monomials
     touching the trailing Lambda variables sink below Lambda-free monomials
@@ -219,12 +219,7 @@ def block_lambda_order(d, generators, n, x_order: OrderSpec | None = None) -> Or
         raise InvalidLambdaError(f"Lambda size must be in 1..{k}, got {n}")
 
     m = d + k
-    if x_order is None:
-        x_rows = [_unit(m, c) for c in range(d)]
-    else:
-        if x_order.num_vars != d:
-            raise ValueError(f"x_order must act on {d} variables")
-        x_rows = [row + (0,) * k for row in x_order.rows]
+    x_rows = [_unit(m, c) for c in range(d)]
     grading_rows = [
         tuple([0] * d + [g[i] for g in generators]) for i in range(d)
     ]

@@ -104,17 +104,12 @@ class TestAperyAffine:
         for point, rep in report.representations.items():
             assert graded_degree(rep, 2, lam.reordered) == point
 
-    def test_x_order_choice_does_not_change_elements(self):
-        from aperykit.orders import OrderSpec
-
+    def test_rejects_a_lambda_certified_for_another_monoid(self):
         M = AffineMonoid(2, ((2, 0), (1, 1), (0, 2)))
-        default = apery_affine(M, indices=(0, 2))
-        flipped = apery_affine(
-            M,
-            indices=(0, 2),
-            x_order=OrderSpec(num_vars=2, rows=((0, 1), (1, 0)), label="lex-flipped"),
-        )
-        assert default.elements == flipped.elements
+        N = AffineMonoid(2, ((3, 0), (1, 1), (0, 3)))
+        with pytest.raises(ValueError, match="another monoid"):
+            apery_affine(M, validate_lambda(N, (0, 2)))
+        assert apery_affine(M, validate_lambda(M, (0, 2))).elements == ((0, 0), (1, 1))
 
     def test_larger_two_dimensional_case_against_oracle(self):
         M = AffineMonoid(2, ((3, 0), (2, 1), (1, 2), (0, 3)))

@@ -205,6 +205,14 @@ class TestExtremalSets:
         with pytest.raises(ValueError):
             extremal_set(S, apery_delta(S, 1), basis)
 
+    def test_rejects_a_report_of_another_monoid(self):
+        S = NumericalSemigroup([5, 7, 9])
+        other = apery_delta(NumericalSemigroup([4, 7, 9]), 3)
+        with pytest.raises(ValueError, match="report was built for"):
+            extremal_set(S, other, other.basis)
+        own = apery_delta(S, 3)
+        assert extremal_set(S, own, own.basis) == [20, 22]
+
 
 class TestTypeSet:
     def test_published_values(self):

@@ -248,6 +248,13 @@ class TestStaircase:
         assert in_staircase_complement((0, 0, 0, 0), basis)
         assert not in_staircase_complement((7, 0, 0, 0), basis)
 
+    @pytest.mark.parametrize("v", [(7,), (7, 0, 0, 0, 0)])
+    def test_wrong_length_raises_like_normal_form(self, v):
+        basis = lex_basis_7_9_11()
+        for query in (normal_form, in_staircase_complement):
+            with pytest.raises(ValueError, match="expected an exponent vector of length 4"):
+                query(v, basis)
+
     def test_phi_degree_examples(self):
         assert phi_degree((1, 1, 2, 0), (7, 9, 11)) == 26
         assert phi_degree((0, 0, 0, 0), (7, 9, 11)) == 0

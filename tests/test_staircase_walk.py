@@ -1,4 +1,4 @@
-"""The shared staircase face walk and the packed corner test.
+"""The shared staircase face walk, the report read-off and the reducer's standardness test.
 
 Each packed route is compared with a test-local reference written with
 tuple ``divides``: the face walk with a scan of the face's bounding box,
@@ -135,15 +135,30 @@ def tuple_extremal(S, report, basis):
     return out
 
 
+def band_monoids(count=3, lo=200, hi=400):
+    """Seeded monoids of 5 or 6 generators drawn from [lo, hi]."""
+    rng = random.Random(SEED)
+    out = []
+    while len(out) < count:
+        try:
+            out.append(NumericalSemigroup(sorted(rng.sample(range(lo, hi + 1), rng.randint(5, 6)))))
+        except ValueError:
+            continue
+    return out
+
+
 def test_extremal_set_equals_tuple_reference_on_every_rotation(corpus100):
-    for S in corpus100:
+    """Every revlex rotation plus the default lex flavor, on the corpus and a band."""
+    for S in corpus100 + band_monoids():
         gens = S.generators
         k = len(gens)
-        for i in range(1, k):
-            inner = tuple([p for p in range(1, k) if p != i] + [i])
-            order = apery_order(k, k, gens, inner=inner, flavor="revlex")
+        choices = [
+            (tuple([p for p in range(1, k) if p != i] + [i]), "revlex") for i in range(1, k)
+        ] + [(None, "lex")]
+        for inner, flavor in choices:
+            order = apery_order(k, k, gens, inner=inner, flavor=flavor)
             basis = buchberger(ideal_generators(S, order), order)
-            report = apery_delta(S, k, inner=inner, flavor="revlex", basis=basis)
+            report = apery_delta(S, k, inner=inner, flavor=flavor, basis=basis)
             assert extremal_set(S, report, basis) == tuple_extremal(S, report, basis)
 
 
