@@ -65,11 +65,30 @@ class Classification(NamedTuple):
     exponent: Exponent
 
 
-def _require_elimination(basis: GroebnerBasis) -> None:
+# (basis, generators) of the last pair _require_basis_of passed
+_last_checked: tuple = (None, None)
+
+
+def _require_basis_of(S: NumericalSemigroup, basis: GroebnerBasis) -> None:
+    """Raise unless ``basis`` eliminates x and generates the toric ideal of S.
+
+    A binomial lies in that ideal iff it is S-homogeneous, and nested toric
+    ideals of equal height are equal, so homogeneous elements in the k + 1
+    variables of S pin the monoid.  The last pair that passed is kept, as
+    ``reducer_for`` keeps its last basis: read-offs come in runs on one basis.
+    """
+    global _last_checked
+    gens = S.generators
+    held, held_gens = _last_checked
+    if held is basis and held_gens == gens:
+        return
     if not is_elimination_for_x(basis.order):
-        raise OrderNotEliminationError(
-            f"ordering {basis.order.label!r} does not eliminate x"
-        )
+        raise OrderNotEliminationError(f"ordering {basis.order.label!r} does not eliminate x")
+    if basis.order.num_vars != len(gens) + 1 or any(
+        phi_degree(b.lead, gens) != phi_degree(b.trail, gens) for b in basis.elements
+    ):
+        raise ValueError(f"supplied basis is not {gens}-homogeneous: built for another monoid")
+    _last_checked = (basis, gens)
 
 
 def _x_powers(basis: GroebnerBasis, scan: str):
@@ -91,9 +110,9 @@ def classify(S: NumericalSemigroup, l: int, basis: GroebnerBasis) -> Classificat
     """Decide membership of l via the normal form of x^l.
 
     Returns the normal-form exponent alongside the verdict: membership
-    exactly when its x-coordinate vanishes.
+    exactly when its x-coordinate vanishes.  A basis of another monoid raises.
     """
-    _require_elimination(basis)
+    _require_basis_of(S, basis)
     if not 0 <= l <= max_scan_limit():
         raise ValueError(f"l must be in 0..APERYKIT_MAX_SCAN, got {l}")
     m = basis.order.num_vars
@@ -107,7 +126,7 @@ def gaps_via_groebner(S: NumericalSemigroup, basis: GroebnerBasis) -> list[int]:
     The scan stops after a_1 consecutive members, past which every integer
     is a member, so no second basis or oracle call is needed to bound it.
     """
-    _require_elimination(basis)
+    _require_basis_of(S, basis)
     x_field = field_mask((0,))
     out = []
     for l, v in _x_powers(basis, "gap"):
@@ -173,10 +192,8 @@ def apery_delta(
             f"supplied basis was built under weight rows {basis.order.rows}, "
             f"need {order.label!r} with rows {order.rows}"
         )
-    elif any(phi_degree(b.lead, gens) != phi_degree(b.trail, gens) for b in basis.elements):
-        # a binomial lies in the toric ideal of S iff it is S-homogeneous, and
-        # nested toric ideals of equal height are equal: this pins the monoid
-        raise ValueError(f"supplied basis is not {gens}-homogeneous: built for another monoid")
+    else:
+        _require_basis_of(S, basis)
     if method == "scan":
         reps = _delta_scan(S, j, basis)
     else:

@@ -261,6 +261,9 @@ def _var_index(name: str, m: int) -> int:
 
 def _cmd_staircase(args) -> int:
     S = _parse_gens(args.gens)
+    if args.order.strip().startswith("block:"):
+        # a block ordering assumes the Lambda generators last; the ideal keeps their order
+        raise ValueError("staircase --order takes lex or apery:j=<i>[,...], not block:...")
     order = parse_order_descriptor(args.order, S.generators)
     basis = buchberger(ideal_generators(S, order), order)
     m = order.num_vars
@@ -417,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("staircase", help="ASCII slice of the staircase complement")
     p.add_argument("--gens", required=True)
-    p.add_argument("--order", default="lex")
+    p.add_argument("--order", default="lex", help="lex or apery:j=<i>[,...]")
     p.add_argument("--axes", required=True, help="two free variables, e.g. y1,y2")
     p.add_argument("--fix", help="fixed values, e.g. x=2,y3=0 (others default to 0)")
     p.add_argument("--extent", default="8,8", help="grid width,height")

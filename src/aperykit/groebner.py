@@ -25,7 +25,9 @@ Standardness is read off the basis's own reducer
 sides are rewritten packed by the loop's own reducer, the lead is chosen
 with one ``compare``, and elements whose lead a newer lead divides are
 always retired, so the leads stay an antichain and no separate
-interreduction pass is needed.  ``use_chain_criterion`` only prunes pairs.
+interreduction pass is needed.  Pairs are always pruned by the coprime
+and chain criteria; a reduced basis is unique, so pruning changes only
+time.
 """
 
 from __future__ import annotations
@@ -187,12 +189,7 @@ class PackedReducer:
         return unpack_exponent(self.reduce_packed(pack_exponent(v)), self.m)
 
 
-def buchberger(
-    gens,
-    order: OrderSpec,
-    strategy: str = "fifo",
-    use_chain_criterion: bool = True,
-) -> GroebnerBasis:
+def buchberger(gens, order: OrderSpec, strategy: str = "fifo") -> GroebnerBasis:
     """Reduced basis of the binomial ideal generated by ``gens``.
 
     Inputs and S-pairs take one insert path: both sides are rewritten by
@@ -208,14 +205,13 @@ def buchberger(
     per (ideal, order), so the strategies agree; the test suite asserts
     that rather than trusting it, with "normal" as the cross-check.
 
-    Pairs with coprime leads always reduce to zero and are never queued.
-    ``use_chain_criterion`` only turns pair pruning on or off: redundant
-    pairs are dropped when a third lead divides their lcm.  Elimination
-    orderings on these ideals walk long staircase cascades.  There the
-    selection strategy, not this pruning, separates milliseconds from
-    minutes: "normal" walks the cascades and "fifo" mostly does not, while
-    the chain criterion saves a constant factor under "fifo".  Switching it
-    off costs time, never correctness.
+    Pairs with coprime leads always reduce to zero and are never queued,
+    and the chain criterion drops a pair when a third lead divides its
+    lcm.  Elimination orderings on these ideals walk long staircase
+    cascades.  There the selection strategy, not this pruning, separates
+    milliseconds from minutes: "normal" walks the cascades and "fifo"
+    mostly does not, while the chain criterion saves a constant factor
+    under "fifo".
     """
     if strategy not in ("normal", "fifo"):
         raise ValueError(f"unknown selection strategy {strategy!r}")
@@ -246,36 +242,33 @@ def buchberger(
         if compare(order, unpack_exponent(u, m), unpack_exponent(v, m)) != GREATER:
             u, v = v, u
         h = len(leads)
-        if use_chain_criterion:
-            # one candidate pair per distinct lcm value, coprime preferred
-            # (a coprime pair shields its peers and is then dropped itself)
-            best: dict[int, tuple[bool, int]] = {}
-            for g in active:
-                lc = lcm(leads[g], u)
-                coprime = lc == leads[g] + u
-                if lc not in best or (coprime and not best[lc][0]):
-                    best[lc] = (coprime, g)
-            # divisibility implies numerically-smaller packed value, so one
-            # ascending sweep sees every potential dominator before its prey
-            kept_lcms: list[int] = []
-            new_pairs = []
-            for lc in sorted(best):
-                if any(((lc | high) - q) & high == high for q in kept_lcms):
-                    continue
-                kept_lcms.append(lc)
-                coprime, g = best[lc]
-                if not coprime:
-                    new_pairs.append((g, lc))
-            new_pairs.sort()
-            # old pairs whose lcm the new lead splits strictly are redundant
-            for pair in [
-                (j, i) for (j, i), lc in pending.items()
-                if ((lc | high) - u) & high == high
-                and lcm(leads[i], u) != lc and lcm(leads[j], u) != lc
-            ]:
-                del pending[pair]
-        else:
-            new_pairs = [(g, lc) for g in active if (lc := lcm(leads[g], u)) != leads[g] + u]
+        # one candidate pair per distinct lcm value, coprime preferred
+        # (a coprime pair shields its peers and is then dropped itself)
+        best: dict[int, tuple[bool, int]] = {}
+        for g in active:
+            lc = lcm(leads[g], u)
+            coprime = lc == leads[g] + u
+            if lc not in best or (coprime and not best[lc][0]):
+                best[lc] = (coprime, g)
+        # divisibility implies numerically-smaller packed value, so one
+        # ascending sweep sees every potential dominator before its prey
+        kept_lcms: list[int] = []
+        new_pairs = []
+        for lc in sorted(best):
+            if any(((lc | high) - q) & high == high for q in kept_lcms):
+                continue
+            kept_lcms.append(lc)
+            coprime, g = best[lc]
+            if not coprime:
+                new_pairs.append((g, lc))
+        new_pairs.sort()
+        # old pairs whose lcm the new lead splits strictly are redundant
+        for pair in [
+            (j, i) for (j, i), lc in pending.items()
+            if ((lc | high) - u) & high == high
+            and lcm(leads[i], u) != lc and lcm(leads[j], u) != lc
+        ]:
+            del pending[pair]
         for g, lc in new_pairs:
             pending[(h, g)] = lc
             heapq.heappush(heap, (key(unpack_exponent(lc, m)) if normal else (), h, g))

@@ -229,26 +229,20 @@ def block_lambda_order(d, generators, n) -> OrderSpec:
     return OrderSpec(num_vars=m, rows=rows, label=label)
 
 
-def is_elimination_for_x(order: OrderSpec, num_x: int = 1) -> bool:
-    """True iff every monomial touching the first num_x variables beats
-    every monomial free of them.
+def is_elimination_for_x(order: OrderSpec) -> bool:
+    """True iff every monomial touching x (variable 0) beats every x-free one.
 
-    Decided from the weight structure: within the leading run of rows that
-    vanish on all y columns, every x column must carry a nonzero weight.
-    (Construction already guarantees the first nonzero weight in a column
-    is positive, which is what makes this criterion exact.)
+    Decided from the weight structure: some row must weigh x before any
+    row weighs a y column.  (Construction already guarantees the first
+    nonzero weight in a column is positive, which is what makes this
+    criterion exact.)
     """
-    y_cols = range(num_x, order.num_vars)
-    seen = [False] * num_x
     for row in order.rows:
-        if any(row[c] for c in y_cols):
-            break
-        for c in range(num_x):
-            if row[c]:
-                seen[c] = True
-        if all(seen):
+        if any(row[1:]):
+            return False
+        if row[0]:
             return True
-    return all(seen)
+    return False
 
 
 def parse_order_descriptor(text: str, weights) -> OrderSpec:

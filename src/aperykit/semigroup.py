@@ -111,14 +111,6 @@ class NumericalSemigroup:
         self._table = new
         return new
 
-    @property
-    def multiplicity(self) -> int:
-        return self.generators[0]
-
-    @property
-    def embedding_dim(self) -> int:
-        return len(self.generators)
-
     def __eq__(self, other):
         return isinstance(other, NumericalSemigroup) and self.generators == other.generators
 

@@ -178,14 +178,6 @@ class TestReducedness:
         fifo = buchberger(gens, order, strategy="fifo")
         assert normal.elements == fifo.elements
 
-    def test_uniqueness_without_chain_criterion(self):
-        S = NumericalSemigroup([5, 7, 9])
-        order = apery_order(3, 3, S.generators)
-        gens = ideal_generators(S, order)
-        fast = buchberger(gens, order)
-        slow = buchberger(gens, order, use_chain_criterion=False)
-        assert fast.elements == slow.elements
-
     def test_strategy_equivalence_on_random_monoids(self, small_corpus):
         for S in small_corpus[:10]:
             order = apery_order(len(S.generators), 1, S.generators)

@@ -184,11 +184,6 @@ class TestBlockLambdaOrder:
             v = tuple(rng.randint(0, 6) for _ in range(5))
             assert compare(o, u, v) == definition_block_compare(2, gens, x_rows, u, v)
 
-    def test_eliminates_the_x_block(self):
-        o = block_lambda_order(2, ((2, 0), (1, 1), (0, 2)), 2)
-        assert is_elimination_for_x(o, num_x=2)
-        assert not is_elimination_for_x(o, num_x=3)
-
     def test_rejects_bad_lambda_size(self):
         with pytest.raises(InvalidLambdaError):
             block_lambda_order(1, ((2,), (3,)), 0)
