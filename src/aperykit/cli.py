@@ -252,7 +252,7 @@ def _var_index(name: str, m: int) -> int:
     name = name.strip()
     if name == "x":
         return 0
-    if name.startswith("y"):
+    if name.startswith("y") and name[1:].isdecimal():
         i = int(name[1:])
         if 1 <= i < m:
             return i
@@ -275,11 +275,19 @@ def _cmd_staircase(args) -> int:
     if args.fix:
         for part in args.fix.split(","):
             name, _, value = part.partition("=")
-            fixed[_var_index(name, m)] = int(value)
+            c = _var_index(name, m)
+            try:
+                fixed[c] = int(value)
+            except ValueError:
+                msg = f"--fix takes name=integer pairs, e.g. x=2,y3=0; got {part!r}"
+                raise ValueError(msg) from None
     for c in range(m):
         if c not in axes and c not in fixed:
             fixed[c] = 0
-    width, height = (int(p) for p in args.extent.split(","))
+    try:
+        width, height = (int(p) for p in args.extent.split(","))
+    except ValueError:
+        raise ValueError(f"--extent takes two integers width,height; got {args.extent!r}") from None
     text = render_staircase(basis, fixed, axes, (width, height))
     if args.format == "json":
         _emit({"grid": text.splitlines(), "order": order.label}, "json")

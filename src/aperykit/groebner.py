@@ -25,9 +25,11 @@ Standardness is read off the basis's own reducer
 sides are rewritten packed by the loop's own reducer, the lead is chosen
 with one ``compare``, and elements whose lead a newer lead divides are
 always retired, so the leads stay an antichain and no separate
-interreduction pass is needed.  Pairs are always pruned by the coprime
-and chain criteria; a reduced basis is unique, so pruning changes only
-time.
+interreduction pass is needed.  The loop's reducer is private to it and
+keeps its per-support lead lists across inserts: ``retire`` prunes and
+``append`` extends them in place, so no insert rebuilds them.  Pairs are
+always pruned by the coprime and chain criteria; a reduced basis is
+unique, so pruning changes only time.
 """
 
 from __future__ import annotations
@@ -142,7 +144,9 @@ class PackedReducer:
     lead divides.  Only leads whose support lies inside the monomial's can
     divide it, so both scan only those: one list per support, in item
     order, built on first use and stored whole (a race costs at most a
-    rebuild).  Whoever changes ``items`` resets ``by_support``.
+    rebuild).  ``append`` and ``retire`` change ``items`` and update every
+    cached list in place to equal its rebuild, so a growing basis keeps its
+    index; only a reducer that one caller owns (Buchberger's) is changed.
     """
 
     __slots__ = ("m", "high", "items", "by_support")
@@ -169,6 +173,23 @@ class PackedReducer:
             candidates = [(q, t) for q, t, s in self.items if s & key == s]
             self.by_support[key] = candidates
         return candidates
+
+    def append(self, q: int, t: int) -> None:
+        """Add the item (q, t) last, and to every cached list whose key holds q's support."""
+        s = _support(q, self.high)
+        self.items.append((q, t, s))
+        for key, candidates in self.by_support.items():
+            if s & key == s:
+                candidates.append((q, t))
+
+    def retire(self, u: int) -> None:
+        """Drop the items whose lead u divides; only lists whose key holds u's support hold one."""
+        high = self.high
+        su = _support(u, high)
+        self.items = [it for it in self.items if ((it[0] | high) - u) & high != high]
+        for key, candidates in self.by_support.items():
+            if su & key == su:
+                candidates[:] = [it for it in candidates if ((it[0] | high) - u) & high != high]
 
     def reduce_packed(self, v: int) -> int:
         high = self.high
@@ -243,24 +264,33 @@ def buchberger(gens, order: OrderSpec, strategy: str = "fifo") -> GroebnerBasis:
             u, v = v, u
         h = len(leads)
         # one candidate pair per distinct lcm value, coprime preferred
-        # (a coprime pair shields its peers and is then dropped itself)
+        # (a coprime pair shields its peers and is then dropped itself);
+        # the same pass finds the elements whose lead u divides
         best: dict[int, tuple[bool, int]] = {}
+        kept_active = []
         for g in active:
-            lc = lcm(leads[g], u)
-            coprime = lc == leads[g] + u
+            a = leads[g]
+            ge = ((a | high) - u) & high  # guard bits of the fields where a >= u
+            sel = (ge >> _GUARD) * field_ones
+            lc = (a & sel) | (u & (ones ^ sel))
+            coprime = lc == a + u
             if lc not in best or (coprime and not best[lc][0]):
                 best[lc] = (coprime, g)
+            if ge != high:
+                kept_active.append(g)
         # divisibility implies numerically-smaller packed value, so one
         # ascending sweep sees every potential dominator before its prey
         kept_lcms: list[int] = []
         new_pairs = []
         for lc in sorted(best):
-            if any(((lc | high) - q) & high == high for q in kept_lcms):
-                continue
-            kept_lcms.append(lc)
-            coprime, g = best[lc]
-            if not coprime:
-                new_pairs.append((g, lc))
+            for q in kept_lcms:
+                if ((lc | high) - q) & high == high:
+                    break
+            else:
+                kept_lcms.append(lc)
+                coprime, g = best[lc]
+                if not coprime:
+                    new_pairs.append((g, lc))
         new_pairs.sort()
         # old pairs whose lcm the new lead splits strictly are redundant
         for pair in [
@@ -272,16 +302,15 @@ def buchberger(gens, order: OrderSpec, strategy: str = "fifo") -> GroebnerBasis:
         for g, lc in new_pairs:
             pending[(h, g)] = lc
             heapq.heappush(heap, (key(unpack_exponent(lc, m)) if normal else (), h, g))
-        # retire elements whose lead the new one divides (``reducer.items`` mirrors ``active``)
-        kept_active = [g for g in active if ((leads[g] | high) - u) & high != high]
+        # retire elements whose lead the new one divides (the reducer mirrors
+        # ``active``); before the append, since u divides itself
         if len(kept_active) < len(active):
             active[:] = kept_active
-            reducer.items = [it for it in reducer.items if ((it[0] | high) - u) & high != high]
+            reducer.retire(u)
         leads.append(u)
         trails.append(v)
         active.append(h)
-        reducer.items.append((u, v, _support(u, high)))
-        reducer.by_support = {}
+        reducer.append(u, v)
 
     for b in gens:
         lead, trail = tuple(b.lead), tuple(b.trail)

@@ -61,6 +61,27 @@ def test_extent_must_be_positive(capsys, extent):
     assert err == f"error: extent must be positive, got {extent}\n"
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--fix", "y3", "--fix takes name=integer pairs, e.g. x=2,y3=0; got 'y3'"),
+        ("--fix", "y3=a", "--fix takes name=integer pairs, e.g. x=2,y3=0; got 'y3=a'"),
+        ("--fix", "x=1,y3=", "--fix takes name=integer pairs, e.g. x=2,y3=0; got 'y3='"),
+        ("--fix", "yb=2", "unknown variable 'yb'"),
+        ("--extent", "3", "--extent takes two integers width,height; got '3'"),
+        ("--extent", "1,2,3", "--extent takes two integers width,height; got '1,2,3'"),
+        ("--extent", "3,x", "--extent takes two integers width,height; got '3,x'"),
+    ],
+)
+def test_malformed_fix_and_extent_name_the_option(capsys, option, value, message):
+    code, out, err = run(capsys, *STAIRCASE, f"{option}={value}", "--format", "json")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": message, "kind": "user"}
+    code, _, err = run(capsys, *STAIRCASE, f"{option}={value}", "--format", "text")
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
 def test_extent_is_bounded_by_the_scan_limit(capsys, monkeypatch):
     monkeypatch.setenv("APERYKIT_MAX_SCAN", "40")
     code, _, err = run(capsys, *STAIRCASE, "--extent", "1000,1000", "--format", "json")
