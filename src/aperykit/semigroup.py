@@ -9,6 +9,14 @@ a table of ``n`` entries takes ``k log2(n / a)`` big-integer operations
 instead of ``n k`` interpreted steps.  It is stored once as a 0/1
 ``bytearray`` that the scans below index in place.
 
+Growth rule: a scan that runs past the table's end rebuilds it at twice
+the length (at least up to the integer asked for) and searches again.  The
+gap scan and the Apery scan both grow it until it holds the first run of
+``a_1`` members after 0, which starts at the conductor ``f + 1``; the Apery
+scan for ``s`` also needs ``s`` entries from that run's start on, which
+ends the table just past ``max Ap(S, s) = f + s``.  Only then does it take
+each residue class's first member, with one ``find`` per class.
+
 A numerical monoid is the set of all nonnegative integer combinations of
 generators ``a_1 < ... < a_k`` with ``gcd(a_1, ..., a_k) = 1``.  Its gap set
 (nonnegative integers outside the monoid) is finite; the largest gap is the
@@ -172,14 +180,18 @@ def apery_bruteforce(S: NumericalSemigroup, s: int) -> list[int]:
     if s <= 0 or not contains(S, s):
         raise NotAMemberError(f"{s} is not a nonzero element of {S!r}")
     limit = max_scan_limit()
+    run = b"\x01" * S.generators[0]
     table = S._table
-    # the least member of residue class r is the first 1 in table[r::s];
-    # while a class has none, the scan would reach the table's end
-    steps = [table[r::s].find(1) for r in range(s)]
-    while -1 in steps:
+    # the first run of a1 members after 0 starts at the conductor f + 1 (at
+    # 1 when f = -1) and every integer past it is a member, so each class's
+    # least member lies below start + s; for f >= 0 that is max Ap + 1, the
+    # length at which a per-class scan would stop growing the table too
+    start = table.find(run, 1)
+    while start < 0 or len(table) < start + s:
         table = S._members_up_to(len(table))
-        steps = [i if i >= 0 else table[r::s].find(1) for r, i in enumerate(steps)]
-    elements = sorted(r + s * i for r, i in enumerate(steps))
+        start = table.find(run, 1)
+    end = start + s
+    elements = sorted(r + s * table[r:end:s].find(1) for r in range(s))
     top = elements[-1]
     if top > limit:
         raise ScanLimitError(f"Apery scan exceeded APERYKIT_MAX_SCAN={limit}")
@@ -257,21 +269,20 @@ def typeset_bruteforce(S: NumericalSemigroup) -> list[int]:
     """T(S) = {m in Ap(S, a_k) : m + a_i not in Ap(S, a_k) for every i}."""
     if len(S.generators) < 2:
         raise ValueError("the type set needs at least two generators")
-    ak = S.generators[-1]
-    ap = set(apery_bruteforce(S, ak))
-    return sorted(m for m in ap if all(m + a not in ap for a in S.generators))
+    ap = apery_bruteforce(S, S.generators[-1])
+    # m + a in Ap exactly when m = y - a for some y in Ap
+    return sorted(set(ap).difference(*[[y - a for y in ap] for a in S.generators]))
 
 
 def hasse_diagram(S: NumericalSemigroup, s: int) -> list[tuple[int, int]]:
     """Covering relations of <=_S restricted to Ap(S, s), as (lower, upper) pairs.
 
-    The sinks of the resulting DAG for s = a_k are exactly the type set.
+    The covers are the pairs (x, x + a) with a a generator and x + a in
+    Ap(S, s): Ap(S, s) is downward closed under <=_S, and a minimal
+    generator is no sum of two nonzero members, so nothing lies strictly
+    between x and x + a.  That takes |Ap| k set lookups.  The sinks of the
+    resulting DAG for s = a_k are exactly the type set.
     """
     nodes = apery_bruteforce(S, s)
-    table = S._members_up_to(nodes[-1])
-    below = {(x, y) for x in nodes for y in nodes if y > x and table[y - x]}
-    return sorted(
-        (x, y)
-        for (x, y) in below
-        if not any((x, z) in below and (z, y) in below for z in nodes)
-    )
+    ap = set(nodes)
+    return [(x, x + a) for x in nodes for a in S.generators if x + a in ap]
