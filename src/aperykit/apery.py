@@ -262,16 +262,13 @@ def _rotation_sequence(k: int, i: int) -> tuple[int, ...]:
     return tuple([p for p in range(1, k) if p != i] + [i])
 
 
-def type_set(S: NumericalSemigroup, extra_orders=()) -> TypeReport:
+def type_set(S: NumericalSemigroup) -> TypeReport:
     """Type set as the intersection of extremal sets over k-1 orderings.
 
     For each i < k the Apery ordering with the reverse-lex layer ending at
     y_i flushes out pretenders N with N + a_i still in the Apery set; the
-    intersection over all i is exactly the type set.  ``extra_orders`` may
-    add more (inner, flavor) tie-break choices to intersect; they cannot
-    change the result, since the type set is contained in every extremal
-    set, but they are useful for cross-checking.  Repeated choices, with
-    ``inner=None`` read as the default sequence, are built once.
+    intersection over all i is exactly the type set.  The type set lies in
+    every extremal set, so further orderings could not change it.
     """
     gens = S.generators
     k = len(gens)
@@ -280,13 +277,8 @@ def type_set(S: NumericalSemigroup, extra_orders=()) -> TypeReport:
     ak = gens[-1]
     extremal: dict[str, tuple[int, ...]] = {}
     running: set[int] | None = None
-    choices = [(_rotation_sequence(k, i), "revlex") for i in range(1, k)]
-    choices += [
-        (tuple(range(1, k)) if inner is None else tuple(inner), flavor)
-        for inner, flavor in extra_orders
-    ]
-    for inner, flavor in dict.fromkeys(choices):  # a repeated choice adds nothing
-        report = apery_delta(S, k, inner=inner, flavor=flavor)
+    for i in range(1, k):
+        report = apery_delta(S, k, inner=_rotation_sequence(k, i), flavor="revlex")
         part = extremal_set(S, report, report.basis)
         extremal[report.order_used] = tuple(part)
         running = set(part) if running is None else running & set(part)

@@ -53,12 +53,10 @@ def _parse_gens(text: str) -> NumericalSemigroup:
 
 
 def _parse_affine_gens(text: str, dim: int):
-    points = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        points.append(tuple(int(p) for p in chunk.split(",")))
+    try:
+        points = [tuple(map(int, chunk.split(","))) for chunk in text.split(";") if chunk.strip()]
+    except ValueError:
+        raise ValueError(f"--gens takes integer points, e.g. 2,0;1,1;0,2; got {text!r}") from None
     return affine_mod.AffineMonoid(dim, tuple(points))
 
 
@@ -141,21 +139,14 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _apery_choice(desc: str, S: NumericalSemigroup):
-    """``(j, inner, flavor)`` of a valid ``--order``; j is None unless it is apery:..."""
-    parse_order_descriptor(desc, S.generators)  # the errors any --order gets
-    text = desc.strip()
-    if not text.startswith("apery:"):
-        return None, None, "lex"
-    return parse_apery_descriptor(text, len(S.generators))
-
-
 def _cmd_apery(args) -> int:
     S = _parse_gens(args.gens)
     if args.wrt not in S.generators:
         raise ValueError(f"--wrt must be one of the generators {S.generators}")
     j = S.generators.index(args.wrt) + 1
-    target, inner, flavor = _apery_choice(args.order, S) if args.order else (j, None, "lex")
+    target, inner, flavor = j, None, "lex"
+    if args.order:
+        target, inner, flavor = parse_apery_descriptor(args.order, len(S.generators))
     if target != j:
         raise ValueError(f"--order {args.order!r} does not target generator {args.wrt}")
     report_obj = apery_mod.apery_delta(S, j, inner=inner, flavor=flavor, method=args.strategy)
@@ -176,17 +167,7 @@ def _cmd_apery(args) -> int:
 
 def _cmd_typeset(args) -> int:
     S = _parse_gens(args.gens)
-    extra = []
-    for desc in args.order or []:
-        target, inner, flavor = _apery_choice(desc, S)
-        if target is None:
-            raise ValueError(
-                f"extra typeset orderings must be apery:... descriptors, got {desc!r}"
-            )
-        if target != len(S.generators):
-            raise ValueError("extra typeset orderings must target a_k")
-        extra.append((inner, flavor))
-    tr = apery_mod.type_set(S, extra_orders=extra)
+    tr = apery_mod.type_set(S)
     report = {
         "generators": list(S.generators),
         "type_set": list(tr.type_set),
@@ -202,7 +183,15 @@ def _cmd_typeset(args) -> int:
 
 def _cmd_affine(args) -> int:
     M = _parse_affine_gens(args.gens, args.dim)
-    indices = tuple(int(p) - 1 for p in args.lam.split(","))
+    k = len(M.generators)
+    try:
+        lam = [int(p) for p in args.lam.split(",")]
+    except ValueError:
+        raise ValueError(f"--lambda takes generator indices, e.g. 1,3; got {args.lam!r}") from None
+    bad = [i for i in lam if not 1 <= i <= k]
+    if bad:
+        raise ValueError(f"--lambda index {bad[0]} is out of range 1..{k}")
+    indices = tuple(i - 1 for i in lam)
     rep = affine_mod.apery_affine(M, indices=indices)
     report = {
         "dim": M.dim,
@@ -300,9 +289,6 @@ def _var_index(name: str, m: int) -> int:
 
 def _cmd_staircase(args) -> int:
     S = _parse_gens(args.gens)
-    if args.order.strip().startswith("block:"):
-        # a block ordering assumes the Lambda generators last; the ideal keeps their order
-        raise ValueError("staircase --order takes lex or apery:j=<i>[,...], not block:...")
     order = parse_order_descriptor(args.order, S.generators)
     basis = buchberger(ideal_generators(S, order), order)
     m = order.num_vars
@@ -356,13 +342,14 @@ def _cmd_verify(args) -> int:
         random_semigroup(rng, args.kmin, args.kmax, args.max_gen)
         for _ in range(args.count)
     ]
+    reports = {}  # check_delta's direct report per monoid, reread by check_typeset
 
     def check_delta(S):
         # both routes on one basis: each must match the definition, and
         # both must pick the same representation per element
         expect = sg.apery_bruteforce(S, S.generators[-1])
         k = len(S.generators)
-        direct = apery_mod.apery_delta(S, k)
+        direct = reports[S] = apery_mod.apery_delta(S, k)
         scan = apery_mod.apery_delta(S, k, method="scan", basis=direct.basis)
         for got in (scan, direct):
             if list(got.elements) != expect:
@@ -372,10 +359,17 @@ def _cmd_verify(args) -> int:
         return None
 
     def check_typeset(S):
+        # the intersection over k-1 orderings against the definition and
+        # against the maximal elements of Ap(S, a_k) under <=_S in one report
         expect = sg.typeset_bruteforce(S)
-        got = apery_mod.type_set(S)
-        if list(got.type_set) != expect:
-            return (S.generators, list(got.type_set), expect)
+        got = list(apery_mod.type_set(S).type_set)
+        report = reports[S]
+        reps = report.representations
+        maximal = [
+            w for w in report.elements if not any(w + a in reps for a in S.generators[:-1])
+        ]
+        if got != expect or maximal != expect:
+            return (S.generators, got, maximal, expect)
         return None
 
     def check_selmer(S):
@@ -395,7 +389,8 @@ def _cmd_verify(args) -> int:
         return None
 
     run("apery: staircase vs definition scan", map(check_delta, corpus))
-    run("typeset: extremal intersection vs definition", map(check_typeset, corpus))
+    run("typeset: extremal intersection vs one-report maxima vs definition",
+        map(check_typeset, corpus))
     run("invariants: Apery formulas vs gap scan", map(check_selmer, corpus))
     run("affine d=1 reduction vs definition", map(check_affine, corpus))
     if args.homology:
@@ -445,10 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("typeset", help="type set, PF numbers, Gorenstein flag")
     p.add_argument("--gens", required=True)
-    p.add_argument(
-        "--order", action="append",
-        help="extra ordering descriptor to intersect (may repeat)",
-    )
     common(p)
     p.set_defaults(func=_cmd_typeset)
 

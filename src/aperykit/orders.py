@@ -248,46 +248,36 @@ def is_elimination_for_x(order: OrderSpec) -> bool:
 def parse_order_descriptor(text: str, weights) -> OrderSpec:
     """Build an ordering from a CLI descriptor.
 
-    Grammar: ``lex`` | ``apery:j=<i>[,inner=<p-p-...>][,<lex|revlex>]`` |
-    ``block:lambda=<i-i-...>`` (1-based generator indices).  ``weights`` is
-    the generator list fixing the ambient variable count; for the block
-    form the generators must be coordinate tuples, and the ordering is
-    built for the layout that puts the Lambda generators last.  With fewer
-    than 10 generators the dashes of ``inner`` may be left out
-    (``inner=132``); from 10 on they are required.
+    Grammar: ``lex`` | ``apery:j=<i>[,inner=<p-p-...>][,<lex|revlex>]``
+    (1-based generator indices); ``weights`` is the generator list.  Block
+    orderings for affine monoids come from :func:`block_lambda_order`.
     """
     text = text.strip()
     k = len(weights)
     if text == "lex":
         return lex_order(k + 1)
-    if text.startswith("block:lambda="):
-        raw = text[len("block:lambda=") :]
-        pieces = raw.split("-") if "-" in raw else raw.split(",")
-        indices = sorted({int(p) - 1 for p in pieces if p})
-        points = [tuple(g) if isinstance(g, (tuple, list)) else (g,) for g in weights]
-        if any(i < 0 or i >= k for i in indices):
-            raise InvalidLambdaError(f"Lambda indices out of range in {text!r}")
-        d = len(points[0])
-        reordered = [g for i, g in enumerate(points) if i not in indices]
-        reordered += [points[i] for i in indices]
-        return block_lambda_order(d, reordered, len(indices))
     if text.startswith("apery:"):
         j, inner, flavor = parse_apery_descriptor(text, k)
         return apery_order(k, j, weights, inner=inner, flavor=flavor)
-    raise ValueError(f"unknown ordering descriptor {text!r}")
+    raise ValueError(f"unknown ordering descriptor {text!r}; expected lex or apery:j=<i>[,...]")
 
 
 def parse_apery_descriptor(text: str, k: int) -> tuple[int, tuple[int, ...] | None, str]:
-    """``(j, inner, flavor)`` of a stripped ``apery:...`` descriptor for k generators.
+    """``(j, inner, flavor)`` of an ``apery:...`` descriptor for k generators.
 
     Only the syntax is checked; ``inner`` is None when left out, as in
-    :func:`apery_order`, which checks the values.
+    :func:`apery_order`, which checks the values.  With fewer than 10
+    generators the dashes of ``inner`` may be left out (``inner=132``);
+    from 10 on they are required.
     """
+    text = text.strip()
+    if not text.startswith("apery:"):
+        raise ValueError(f"expected an apery:j=<i>[,...] descriptor, got {text!r}")
     j, inner, flavor = None, None, "lex"
     for part in text[len("apery:") :].split(","):
         part = part.strip()
         if part.startswith("j="):
-            j = int(part[2:])
+            (j,) = _option_ints(part, [part[2:]], text)
         elif part.startswith("inner="):
             raw = part[len("inner=") :]
             if k >= 10 and "-" not in raw and len(raw) > 1:
@@ -295,8 +285,7 @@ def parse_apery_descriptor(text: str, k: int) -> tuple[int, tuple[int, ...] | No
                 raise ValueError(
                     f"inner={raw} is ambiguous with {k} generators; separate indices with '-'"
                 )
-            pieces = raw.split("-") if "-" in raw else list(raw)
-            inner = tuple(int(p) for p in pieces)
+            inner = tuple(_option_ints(part, raw.split("-") if "-" in raw else raw, text))
         elif part in ("lex", "revlex"):
             flavor = part
         elif part:
@@ -304,3 +293,13 @@ def parse_apery_descriptor(text: str, k: int) -> tuple[int, tuple[int, ...] | No
     if j is None:
         raise ValueError(f"descriptor {text!r} is missing j=<index>")
     return j, inner, flavor
+
+
+def _option_ints(part: str, pieces, text: str) -> list[int]:
+    """``int`` of each piece of the option ``part``; a bad one names the option."""
+    try:
+        return [int(p) for p in pieces]
+    except ValueError:
+        name, _, value = part.partition("=")
+        msg = f"ordering option {name}= takes integers, got {value!r} in {text!r}"
+        raise ValueError(msg) from None

@@ -101,17 +101,29 @@ class TestTypeset:
         assert len(report["extremal"]) == 2
 
     def test_extra_order_appears(self, capsys):
-        report = run_json(
+        # typeset intersects the k-1 rotations only; --order is not one of its options
+        code, out, err = run(
             capsys,
             "typeset", "--gens", "7,8,9,13",
-            "--order", "apery:j=4,inner=1-2-3,lex",
+            "--order", "apery:j=4,inner=1-2-3,lex", "--format", "json",
         )
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["kind"] == "user"
+        assert "unrecognized arguments" in payload["error"]
+        report = run_json(capsys, "typeset", "--gens", "7,8,9,13")
         assert report["type_set"] == [32]
-        assert len(report["extremal"]) == 4
+        assert len(report["extremal"]) == 3
 
     def test_non_apery_order_is_a_user_error(self, capsys):
         code, _, err = run(
             capsys, "typeset", "--gens", "3,7,11", "--order", "lex", "--format", "json"
+        )
+        assert code == 1
+        assert json.loads(err)["kind"] == "user"
+        code, _, err = run(
+            capsys, "apery", "--gens", "3,7,11", "--wrt", "11", "--order", "lex",
+            "--format", "json",
         )
         assert code == 1
         payload = json.loads(err)

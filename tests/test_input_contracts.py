@@ -181,17 +181,38 @@ def test_library_input_errors_are_typed(call, error, match):
     [
         pytest.param(["apery", "--wrt", "11", "--order", "apery:j=2"],
                      "does not target", id="apery-order-targets-another-generator"),
-        pytest.param(["typeset", "--order", "apery:j=2"], "a_k", id="typeset-order-not-a-k"),
+        pytest.param(["typeset", "--order", "apery:j=2"], "unrecognized arguments",
+                     id="typeset-order-not-a-k"),
         pytest.param(["staircase", "--axes", "y1,z1"], "unknown variable", id="staircase-axis"),
         pytest.param(["apery", "--wrt", "11", "--order", "apery:j=3,foo"],
                      "unknown ordering option", id="descriptor-option"),
         # a block ordering puts the Lambda generators last; the ideal would not
         pytest.param(["staircase", "--axes", "y1,y2", "--order", "block:lambda=2"],
                      "lex or apery", id="staircase-block-order"),
+        pytest.param(["apery", "--wrt", "11", "--order", "apery:j=x"],
+                     "ordering option j= takes integers, got 'x'", id="descriptor-j-not-an-int"),
+        pytest.param(["apery", "--wrt", "11", "--order", "apery:j=3,inner=1-x"],
+                     "ordering option inner= takes integers, got '1-x'",
+                     id="descriptor-inner-not-an-int"),
+        pytest.param(["affine", "--dim", "2", "--gens", "2,0;1,1;0,2", "--lambda", "1,x"],
+                     "--lambda takes generator indices, e.g. 1,3; got '1,x'",
+                     id="affine-lambda-not-an-int"),
+        pytest.param(["affine", "--dim", "2", "--gens", "2,0;1,1;0,2", "--lambda", ","],
+                     "--lambda takes generator indices, e.g. 1,3; got ','",
+                     id="affine-lambda-empty"),
+        pytest.param(["affine", "--dim", "2", "--gens", "2,0;1,a", "--lambda", "1"],
+                     "--gens takes integer points, e.g. 2,0;1,1;0,2; got '2,0;1,a'",
+                     id="affine-gens-not-an-int"),
+        # indices are reported as typed, 1-based
+        pytest.param(["affine", "--dim", "2", "--gens", "2,0;1,1;0,2", "--lambda", "0,3"],
+                     "--lambda index 0 is out of range 1..3", id="affine-lambda-0"),
+        pytest.param(["affine", "--dim", "2", "--gens", "2,0;1,1;0,2", "--lambda", "4"],
+                     "--lambda index 4 is out of range 1..3", id="affine-lambda-above-k"),
     ],
 )
 def test_cli_input_errors_exit_1_with_a_json_error(capsys, argv, match):
-    code = main([*argv, "--gens", "7,9,11", "--format", "json"])
+    # the default generators come first, so a case may give its own
+    code = main([argv[0], "--gens", "7,9,11", *argv[1:], "--format", "json"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""

@@ -65,7 +65,7 @@ JSON_ARGVS = [
      "--order", "apery:j=4,inner=1-3-2,revlex", "--dump-basis"],
     ["apery", "--gens", "5,7,9", "--wrt", "9", "--strategy", "scan"],
     ["typeset", "--gens", "3,7,11"],
-    ["typeset", "--gens", "7,8,9,13", "--order", "apery:j=4,inner=1-2-3,lex"],
+    ["typeset", "--gens", "7,8,9,13"],
     ["affine", "--dim", "2", "--gens", "2,0;1,1;0,2", "--lambda", "1,3"],
     ["affine", "--dim", "2", "--gens", "2,0;1,1;0,2;1,2", "--lambda", "1,3,4"],
     ["hasse", "--gens", "3,7,11", "--wrt", "11", "--format", "json"],

@@ -230,16 +230,10 @@ class TestDescriptors:
         o = parse_order_descriptor("apery:j=10,inner=9-8-7-6-5-4-3-2-1", gens)
         assert o.label == "apery:j=10,inner=9-8-7-6-5-4-3-2-1,lex"
 
-    def test_block(self):
-        o = parse_order_descriptor("block:lambda=1,3", ((2, 0), (1, 1), (0, 2)))
-        assert o.rows == block_lambda_order(2, ((1, 1), (2, 0), (0, 2)), 2).rows
-        o1 = parse_order_descriptor("block:lambda=2", (7, 9, 11))
-        assert o1.rows == block_lambda_order(1, ((7,), (11,), (9,)), 1).rows
-
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
             parse_order_descriptor("sugar", (2, 3))
         with pytest.raises(ValueError):
             parse_order_descriptor("apery:inner=1-2", (5, 7, 9))
-        with pytest.raises(InvalidLambdaError):
+        with pytest.raises(ValueError, match="lex or apery"):
             parse_order_descriptor("block:lambda=9", (2, 3))
