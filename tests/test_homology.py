@@ -21,7 +21,7 @@ from aperykit.semigroup import NumericalSemigroup, contains, gaps, pf_bruteforce
 
 
 def complex_from(faces, k):
-    return SimplicialComplex(vertex_count=k, faces=frozenset(Face(f) for f in faces))
+    return SimplicialComplex.from_faces(k, faces)
 
 
 def full_simplex(k):
@@ -244,3 +244,82 @@ class TestBudget:
         with pytest.raises(ScanLimitError):
             pf_via_homology(NumericalSemigroup([11, 13, 15, 17, 19]))
         assert calls == []
+
+
+def direct_ranks(faces, k):
+    """Reduced homology ranks from the direct boundary matrices, by fraction_rank."""
+    by_size = [sorted(f for f in faces if len(f) == s) for s in range(k + 1)]
+    boundary = [0] * (k + 2)
+    for s in range(1, k + 1):
+        index = {f: i for i, f in enumerate(by_size[s - 1])}
+        rows = []
+        for f in by_size[s]:
+            row = [0] * len(index)
+            for i in range(s):
+                row[index[f[:i] + f[i + 1:]]] = (-1) ** i
+            rows.append(row)
+        boundary[s] = fraction_rank(rows)
+    return tuple(len(by_size[s]) - boundary[s] - boundary[s + 1] for s in range(k + 1))
+
+
+def random_closed_family(rng, k, dense):
+    """Downward closure of a few random facets, or (dense) the family of
+    complements of the sets outside such a closure, which is downward closed."""
+    sizes = [rng.randint(1, max(1, k - 1)) for _ in range(rng.randint(0, k + 1))]
+    facets = [rng.sample(range(1, k + 1), size) for size in sizes]
+    faces = {c for f in facets for c in _downward(tuple(sorted(f)))}
+    if not dense:
+        return faces
+    ground = set(range(1, k + 1))
+    return {tuple(sorted(ground - set(f))) for f in full_simplex(k) if f not in faces}
+
+
+class TestAlexanderDual:
+    def test_matches_direct_boundary_ranks(self):
+        rng = random.Random(20241020)
+        seen = {False: 0, True: 0}  # holding more than half of the faces, with homology
+        for _ in range(500):
+            k = rng.randint(1, 7)
+            faces = random_closed_family(rng, k, rng.random() < 0.5)
+            ranks = reduced_homology_ranks(complex_from(faces, k))
+            assert ranks == direct_ranks(faces, k), (k, faces)
+            if any(ranks):
+                seen[2 * len(faces) > 1 << k] += 1
+        assert min(seen.values()) >= 30  # both branches meet nonzero homology
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_void_point_and_full_simplex(self, k):
+        zeros = (0,) * (k + 1)
+        assert reduced_homology_ranks(complex_from([], k)) == zeros
+        assert reduced_homology_ranks(complex_from([()], k)) == (1,) + zeros[1:]
+        assert reduced_homology_ranks(complex_from(full_simplex(k), k)) == zeros
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_boundary_of_simplex_is_a_sphere(self, k):
+        faces = full_simplex(k)[:-1]  # every face but [k] itself
+        sphere = tuple(1 if i == k - 1 else 0 for i in range(k + 1))
+        assert reduced_homology_ranks(complex_from(faces, k)) == sphere
+
+    def test_faces_round_trip(self):
+        faces = [(), (1,), (3,), (1, 3)]
+        assert complex_from(faces, 3).faces == frozenset(Face(f) for f in faces)
+
+    def test_rejects_vertices_outside_the_ground_set(self):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            complex_from([(), (3,)], 2)
+        with pytest.raises(ValueError, match="past 2"):
+            reduced_homology_ranks(SimplicialComplex(2, 1 << 4))
+
+
+def test_dense_complexes_stay_fast(monkeypatch):
+    # <12, ..., 23>: genus 11, and the complexes that pass the Euler pre-test
+    # hold most of their 4 096 faces, so they are ranked through the dual;
+    # ranked directly, their boundary maps would reach 924 rows
+    rows_seen = []
+    real = homology._rank_exact
+    monkeypatch.setattr(
+        homology, "_rank_exact", lambda rows: rows_seen.append(len(rows)) or real(rows)
+    )
+    S = NumericalSemigroup(range(12, 24))
+    assert pf_via_homology(S) == pf_bruteforce(S)
+    assert rows_seen and max(rows_seen) < 100
