@@ -9,11 +9,13 @@ a membership test for PF(S) that shares nothing with the other two
 computations in this package, which is the point.
 
 Inside, a face is a k-bit mask m and a complex is one integer whose bit m
-is set iff face m is present, built from 2^k subset sums computed once
-per monoid.  Downward closure is one shift-and-mask test per vertex v
-(the faces holding v, shifted down by 2^v, must be present); the reduced
-Euler characteristic is 2 popcount(odd-size faces) - popcount(faces), and
-pf_via_homology ranks only complexes where it is the sphere's (-1)^(k-2).
+is set iff face m is present, read in one gather from the membership
+window on a - T .. a (T the generator sum) at the offsets T - (subset sum
+of m), computed once per monoid.  Downward closure is one shift-and-mask
+test per vertex v (the faces holding v, shifted down by 2^v, must be
+present); the reduced Euler characteristic is
+2 popcount(odd-size faces) - popcount(faces), and pf_via_homology ranks
+only complexes where it is the sphere's (-1)^(k-2).
 A complex with more than half of the 2^k faces is ranked through its
 smaller Alexander dual {[k] - F : F absent}, the bit reversal of its
 complement: H~_i of the complex is H~^(k-i-3) of the dual (Bjorner and
@@ -28,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from math import gcd
-from operator import xor
+from operator import itemgetter, xor
 
 from .errors import ScanLimitError
-from .semigroup import NumericalSemigroup, contains, gaps, max_scan_limit
+from .semigroup import NumericalSemigroup, contains, gaps, max_scan_limit, membership_window
 
 Face = frozenset
 
@@ -67,13 +69,14 @@ def _check_budget(complexes: int, k: int) -> None:
 
 
 @lru_cache(maxsize=1)
-def _subset_sums(gens: tuple[int, ...]) -> tuple[int, ...]:
-    """sums[m] = sum of gens[i] over the set bits i of m."""
+def _face_getter(gens: tuple[int, ...]) -> itemgetter:
+    """Picks byte T - sums[m], i.e. a - sums[m] in S, of a window on a - T .. a,
+    for m = 2^k - 1 down to 0; sums[m] sums gens over m's bits, T = sum(gens)."""
     sums = [0] * (1 << len(gens))
     for m in range(1, len(sums)):
         low = m & -m
         sums[m] = sums[m ^ low] + gens[low.bit_length() - 1]
-    return tuple(sums)
+    return itemgetter(*[sums[-1] - s for s in reversed(sums)])
 
 
 @lru_cache(maxsize=4)
@@ -99,7 +102,9 @@ def _face(m: int) -> Face:
 def build_delta(S: NumericalSemigroup, a: int) -> SimplicialComplex:
     """Faces F of {1..k} with a - sum of the picked generators in S.
 
-    All 2^k subsets are tested directly against the membership oracle; the
+    Face {} is a in S.  Without it no face is present (a - s in S with s in
+    S would put a in S); with it, all 2^k faces are read in one gather from
+    the oracle's membership window on a - T .. a, T the generator sum.  The
     family is downward closed because S is closed under addition, but that
     is verified where it matters rather than assumed here.
     """
@@ -107,8 +112,11 @@ def build_delta(S: NumericalSemigroup, a: int) -> SimplicialComplex:
         raise ValueError("a must be nonnegative")
     k = len(S.generators)
     _check_budget(1, k)
-    present = bytes([contains(S, a - s) for s in _subset_sums(S.generators)])
-    return SimplicialComplex(k, int(present.translate(_BINARY)[::-1], 2))
+    if not contains(S, a):
+        return SimplicialComplex(k, 0)
+    window = membership_window(S, a - sum(S.generators), a)
+    present = bytes(_face_getter(S.generators)(window))
+    return SimplicialComplex(k, int(present.translate(_BINARY), 2))
 
 
 def _closed_bits(C: SimplicialComplex) -> int:
@@ -181,11 +189,11 @@ def reduced_homology_ranks(C: SimplicialComplex) -> tuple[int, ...]:
     bits = _closed_bits(C)
     n = 1 << k
     full = (1 << n) - 1
-    if bits.bit_count() <= n // 2:
+    if not k or bits.bit_count() <= n // 2:
         return tuple(_ranks(k, bits))
-    # Alexander dual: face m is in it iff face [k] - m, bit n-1-m, is absent;
-    # H~_(j-1) of C has the rank of H~_(k-j-2) of the dual (the full simplex's
-    # dual is void, and both have no homology)
+    # Alexander dual (k >= 1): face m is in it iff face [k] - m, bit n-1-m, is
+    # absent; H~_(j-1) of C has the rank of H~_(k-j-2) of the dual (the full
+    # simplex's dual is void, and both have no homology)
     dual = _ranks(k, int(format(full ^ bits, f"0{n}b")[::-1], 2))
     return (*dual[k - 1 :: -1], 0)
 

@@ -149,6 +149,16 @@ def contains(S: NumericalSemigroup, n: int) -> bool:
     return S._members_up_to(n)[n] == 1
 
 
+def membership_window(S: NumericalSemigroup, lo: int, hi: int) -> bytes:
+    """0/1 bytes, the i-th 1 iff lo + i is in S, for lo + i from lo to hi.
+
+    Negative integers are never members, so they read as 0 (and a window
+    below 0 is all 0); the table grows as for ``contains``.
+    """
+    pad = min(max(-lo, 0), hi + 1 - lo)
+    return bytes(pad) + S._members_up_to(hi)[lo + pad : hi + 1]
+
+
 def gaps(S: NumericalSemigroup) -> list[int]:
     """All positive integers outside S, in increasing order.
 

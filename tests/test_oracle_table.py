@@ -173,3 +173,26 @@ class TestScanGuard:
             sg.gaps(sg.NumericalSemigroup([7, 8, 9, 13]))
         with pytest.raises(ScanLimitError):
             sg.apery_bruteforce(sg.NumericalSemigroup([3, 5, 7]), 7)
+
+
+class TestMembershipWindow:
+    def test_matches_contains_from_a_fresh_table(self):
+        rng = random.Random(20241021)
+        for S in seeded_monoids():
+            top = 4 * S.generators[-1]
+            for _ in range(20):
+                hi = rng.randint(-5, top)
+                lo = hi - rng.randint(-1, top)  # an empty window when lo = hi + 1
+                window = sg.membership_window(sg.NumericalSemigroup(S.generators), lo, hi)
+                expected = bytes(sg.contains(S, n) for n in range(lo, hi + 1))
+                assert window == expected, (S, lo, hi)
+
+    def test_guard_trips_where_contains_does(self, monkeypatch):
+        monkeypatch.setenv("APERYKIT_MAX_SCAN", "40")
+        gens = (7, 8, 9, 13)
+        tripped = []
+        for hi in range(30, 50):
+            raised = outcome(sg.membership_window, gens, hi - 20, hi) is ScanLimitError
+            assert raised == (outcome(sg.contains, gens, hi) is ScanLimitError), hi
+            tripped.append(raised)
+        assert any(tripped) and not all(tripped)
