@@ -9,7 +9,8 @@ generators spanning the same rational cone, Ap(S, Lambda) = {a in S :
 a - b not in S for all b in Lambda} is finite, and it equals the set of
 weighted degrees of the staircase-complement points in the face where the
 x variables and the Lambda variables all vanish, walked by the shared
-:func:`aperykit.groebner.face_complement`.
+:func:`aperykit.groebner.face_complement`.  The walk returns packed Z^d
+degrees and packed points; this module unpacks both into tuples, its edge.
 
 Cone containment is certified in integers: for each generator outside
 Lambda, a nonnegative solution on r = rank Lambda linearly independent
@@ -199,7 +200,8 @@ def apery_affine(
     basis = buchberger(affine_ideal_generators(M, reordered, order), order)
     weights = [pack_exponent(a) for a in reordered[: k - n]]  # nonnegative: packed sums add
     walk = face_complement(basis, range(d, d + k - n), weights)
-    reps = {unpack_exponent(g, d): p for g, p in walk.items()}
+    m = basis.order.num_vars
+    reps = {unpack_exponent(g, d): unpack_exponent(p, m) for g, p in walk.items()}
     return AffineAperyReport(
         monoid=M,
         lambda_indices=lam.indices,

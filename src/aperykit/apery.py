@@ -12,17 +12,24 @@ tests validate from the definitions.  Only :func:`apery_delta` turns a
 choice of ordering into a basis; its report carries that basis, and
 extremal sets are read off the report.  The face walk is
 :mod:`aperykit.groebner`'s, shared with the affine route.
+
+The read-off stays on packed exponent vectors (one integer per point, see
+:mod:`aperykit.groebner`) from the walk through the report's invariant
+checks to :func:`extremal_set`; a report unpacks its points into tuples
+only when ``representations`` is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import or_
 from typing import NamedTuple
 
 from .errors import InternalInvariantError, OrderNotEliminationError, ScanLimitError
 from .groebner import (
-    GroebnerBasis, buchberger, face_complement, field_mask, ideal_generators, phi_degree,
-    reducer_for, unpack_exponent,
+    GroebnerBasis, buchberger, face_complement, field_mask, ideal_generators, packed_degrees,
+    phi_degree, reducer_for, unpack_exponent,
 )
 # unused here, kept bound: perfbench/spans.py counts calls through this name
 from .groebner import divides  # noqa: F401
@@ -36,17 +43,26 @@ Exponent = tuple[int, ...]
 class AperyReport:
     """Ap(S, a_j) with, per element, its normal-form exponent vector.
 
-    Representations are x-free and y_j-free by construction; the weighted
-    degree of each representation recovers the element itself.  ``basis``
-    is the reduced basis they were read off (left out of equality and repr).
+    ``points`` maps each element to that vector packed (field 0 is x,
+    field i is y_i); ``representations`` is the same map with the vectors
+    unpacked into tuples, built on first read and kept out of equality and
+    repr.  Representations are x-free and y_j-free by construction; the
+    weighted degree of each representation recovers the element itself.
+    ``basis`` is the reduced basis they were read off (left out of equality
+    and repr).
     """
 
     generators: tuple[int, ...]
     wrt: int
     elements: tuple[int, ...]
-    representations: dict[int, Exponent]
+    points: dict[int, int]
     order_used: str
     basis: GroebnerBasis | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def representations(self) -> dict[int, Exponent]:
+        m = len(self.generators) + 1
+        return {element: unpack_exponent(v, m) for element, v in self.points.items()}
 
 
 @dataclass(frozen=True)
@@ -136,7 +152,7 @@ def gaps_via_groebner(S: NumericalSemigroup, basis: GroebnerBasis) -> list[int]:
             return out
 
 
-def _delta_scan(S, j, basis) -> dict[int, Exponent]:
+def _delta_scan(S, j, basis) -> dict[int, int]:
     """Walk l = 0, 1, 2, ... collecting the Apery elements of a_j.
 
     An element is recorded when the normal form of x^l avoids x and y_j.
@@ -144,9 +160,8 @@ def _delta_scan(S, j, basis) -> dict[int, Exponent]:
     a_j hits; a repeated residue class would falsify the theory and raises.
     """
     aj = S.generators[j - 1]
-    m = basis.order.num_vars
     face_mask = field_mask((0, j))
-    found: dict[int, tuple[int, Exponent]] = {}
+    found: dict[int, tuple[int, int]] = {}
     for l, v in _x_powers(basis, "Apery"):
         if v & face_mask == 0:
             r = l % aj
@@ -154,9 +169,9 @@ def _delta_scan(S, j, basis) -> dict[int, Exponent]:
                 raise InternalInvariantError(
                     f"residue class {r} mod {aj} filled twice during the scan"
                 )
-            found[r] = (l, unpack_exponent(v, m))
+            found[r] = (l, v)
             if len(found) == aj:
-                return {element: e for element, e in found.values()}
+                return dict(found.values())
 
 
 def apery_delta(
@@ -195,37 +210,44 @@ def apery_delta(
     else:
         _require_basis_of(S, basis)
     if method == "scan":
-        reps = _delta_scan(S, j, basis)
+        points = _delta_scan(S, j, basis)
     else:
         free_cols = [c for c in range(1, k + 1) if c != j]
-        reps = face_complement(basis, free_cols, [gens[c - 1] for c in free_cols])
+        points = face_complement(basis, free_cols, [gens[c - 1] for c in free_cols])
     aj = gens[j - 1]
-    elements = tuple(sorted(reps))
-    _check_report_invariants(gens, aj, elements, reps, j)
+    elements = tuple(sorted(points))
+    _check_report_invariants(gens, aj, elements, points, j)
     return AperyReport(
         generators=gens,
         wrt=aj,
         elements=elements,
-        representations=reps,
+        points=points,
         order_used=order.label,
         basis=basis,
     )
 
 
-def _check_report_invariants(gens, aj, elements, reps, j):
+def _check_report_invariants(gens, aj, elements, points, j):
+    """Raise unless ``points`` ({element: packed point}) is a valid Ap(S, a_j).
+
+    Per element: the point avoids x and y_j (one mask on the OR of all
+    points, then a search for the culprit), and its degree, computed from
+    the point alone by ``packed_degrees``, is the element.
+    """
     if len(elements) != aj:
         raise InternalInvariantError(
             f"expected {aj} Apery elements, found {len(elements)}"
         )
     if len({e % aj for e in elements}) != aj or 0 not in elements:
         raise InternalInvariantError("Apery residues are not a full system")
-    for element, rep in reps.items():
-        if rep[0] != 0 or rep[j] != 0:
-            raise InternalInvariantError(f"representation of {element} touches x or y_j")
-        if phi_degree(rep, gens) != element:
-            raise InternalInvariantError(
-                f"representation of {element} has degree {phi_degree(rep, gens)}"
-            )
+    face_mask = field_mask((0, j))
+    if reduce(or_, points.values(), 0) & face_mask:
+        element = next(e for e, v in points.items() if v & face_mask)
+        raise InternalInvariantError(f"representation of {element} touches x or y_j")
+    degrees = packed_degrees(points.values(), gens)
+    if degrees != list(points):
+        element, degree = next((e, d) for e, d in zip(points, degrees) if e != d)
+        raise InternalInvariantError(f"representation of {element} has degree {degree}")
 
 
 def extremal_set(
@@ -238,8 +260,10 @@ def extremal_set(
     every standard monomial of the face x = y_k = 0, one per degree, and
     they are closed downward: if the representation r' of N + a_i has
     y_i >= 1, then r' - y_i is standard of degree N, so it is rep(N).
-    So the bump is standard iff ``reps[N + a_i]`` exists with y_i >= 1:
-    one lookup per coordinate, and no tuple is built.
+    So the bump is standard iff N + a_i is in the report with y_i >= 1,
+    and the elements that are not extremal are the w - a_i over report
+    elements w whose packed point has a nonzero field i: one pass over the
+    points per column, and no tuple is built.
     """
     if report.order_used != basis.order.label:
         raise ValueError("report and basis were built under different orderings")
@@ -248,13 +272,12 @@ def extremal_set(
         raise ValueError(f"report was built for {report.generators}, not {gens}")
     if report.wrt != gens[-1]:
         raise ValueError("extremal sets are defined with respect to a_k")
-    reps = report.representations
-    absent = (0,) * len(gens)
-    steps = list(enumerate(gens[:-1], start=1))
-    return [
-        element for element in report.elements
-        if not any(reps.get(element + a, absent)[i] for i, a in steps)
-    ]
+    points = report.points.items()
+    grown = set()
+    for i, a in enumerate(gens[:-1], start=1):
+        column = field_mask((i,))
+        grown.update([w - a for w, v in points if v & column])
+    return [element for element in report.elements if element not in grown]
 
 
 def _rotation_sequence(k: int, i: int) -> tuple[int, ...]:

@@ -354,7 +354,7 @@ def _cmd_verify(args) -> int:
         for got in (scan, direct):
             if list(got.elements) != expect:
                 return (S.generators, list(got.elements), expect)
-        if scan.representations != direct.representations:
+        if scan.points != direct.points:
             return (S.generators, "scan and direct representations differ")
         return None
 
@@ -364,9 +364,9 @@ def _cmd_verify(args) -> int:
         expect = sg.typeset_bruteforce(S)
         got = list(apery_mod.type_set(S).type_set)
         report = reports[S]
-        reps = report.representations
+        members = set(report.elements)
         maximal = [
-            w for w in report.elements if not any(w + a in reps for a in S.generators[:-1])
+            w for w in report.elements if not any(w + a in members for a in S.generators[:-1])
         ]
         if got != expect or maximal != expect:
             return (S.generators, got, maximal, expect)

@@ -13,7 +13,10 @@ field acts as a borrow guard: q divides v exactly when
 ``((v | HIGH) - q) & HIGH == HIGH``.  Exponents are asserted to be far
 below the field width on entry, and rewriting never increases the
 weighted degree of a monomial, so the fields cannot overflow.  The
-public API speaks plain integer tuples.
+public API speaks plain integer tuples, except the staircase read-off:
+``face_complement`` returns packed points and ``packed_degrees`` reads
+their degrees, so a read-off stays packed up to the edge that prints or
+returns tuples.
 Only this module knows the field layout and the divisibility indexes on
 it (reducer leads by support, face corners by field); it also holds the
 one builder of defining binomials (``defining_binomials``, for generators
@@ -37,8 +40,8 @@ from __future__ import annotations
 import heapq
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import mul
+from functools import lru_cache, reduce
+from operator import mul, or_
 
 from .errors import InternalInvariantError, LengthMismatchError
 from .orders import EQUAL, GREATER, OrderSpec, compare
@@ -390,8 +393,8 @@ def field_step(c: int) -> int:
     return 1 << (c * _FIELD_BITS)
 
 
-def face_complement(basis: GroebnerBasis, free_cols, weights) -> dict:
-    """``{degree: p}`` over the staircase-complement points p of a face.
+def face_complement(basis: GroebnerBasis, free_cols, weights) -> dict[int, int]:
+    """``{degree: p}`` over the staircase-complement points p of a face, packed.
 
     The face is where the variables outside ``free_cols`` vanish.  Its
     complement is downward closed, so a walk from the origin raising the
@@ -400,18 +403,21 @@ def face_complement(basis: GroebnerBasis, free_cols, weights) -> dict:
     certifies finiteness and is checked first; a repeated degree raises.
 
     ``weights[i]`` is the packed degree of a step in ``free_cols[i]`` (a
-    scalar ``(a,)`` packs to ``a``): degrees are carried down the walk and
-    points unpacked only on return.  A visited point v is uncovered, so
-    only a corner q with q_i = v_i + 1 can block the step v + e_i: the
-    corners are bucketed by that field.
+    scalar ``(a,)`` packs to ``a``): degrees are carried down the walk, and
+    both degrees and points are returned packed; callers unpack at their
+    own edge.  The corners are the packed leads of ``reducer_for(basis)``,
+    so a read-off that goes on to reduce on the same basis builds one
+    reducer.  A visited point v is uncovered, so only a corner q with
+    q_i = v_i + 1 can block the step v + e_i: the corners are bucketed by
+    that field.
     """
-    m = basis.order.num_vars
-    high = _high_mask(m)
+    reducer = reducer_for(basis)
+    high = reducer.high
     face = field_mask(free_cols)
     steps = [field_step(c) for c in free_cols]
     fields = [field_mask((c,)) for c in free_cols]
     # a corner involving a variable that is 0 on the face divides none of it
-    corners = [q for q in map(pack_exponent, basis.corners) if not q & ~face]
+    corners = [q for q, _, _ in reducer.items if not q & ~face]
     for c, field in zip(free_cols, fields):
         if not any(q & field == q for q in corners if q):
             raise InternalInvariantError(f"no pure-power corner bounds variable {c}")
@@ -434,9 +440,30 @@ def face_complement(basis: GroebnerBasis, free_cols, weights) -> dict:
                     break
             else:
                 frontier.append((w, i, d + weights[i]))
-    return {d: unpack_exponent(v, m) for d, v in out.items()}
+    return out
 
 
 def phi_degree(v: Exponent, weights) -> int:
     """Weighted degree v_0 + sum(v_i * a_i); invariant under normal forms."""
     return sum(map(mul, v[1:], weights), v[0])
+
+
+def packed_degrees(points, weights) -> list[int]:
+    """``phi_degree`` of each packed point of len(weights) + 1 fields, in order.
+
+    With W the weights (1, a_1, .., a_k) packed in reverse field order,
+    field m - 1 of v * W is v_0 + sum(v_i * a_i).  Every field of the
+    product sums at most m terms v_i * w_l, so none carries while
+    m * F * max(w) < 2^62, with F the largest field of the points' OR (no
+    point has a larger field), and field m - 1 is then exact; past that
+    bound each point is unpacked and summed instead.
+    """
+    points = list(points)
+    m = len(weights) + 1
+    top = max(unpack_exponent(reduce(or_, points, 0), m))
+    if m * top * max(weights, default=1) >= _FIELD_LIMIT:
+        return [phi_degree(unpack_exponent(v, m), weights) for v in points]
+    w = pack_exponent((*reversed(weights), 1))
+    shift = (m - 1) * _FIELD_BITS
+    ones = (1 << _FIELD_BITS) - 1
+    return [v * w >> shift & ones for v in points]

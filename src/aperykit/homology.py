@@ -62,8 +62,10 @@ class SimplicialComplex:
         return frozenset(map(_face, _masks(self.bits)))
 
 
-def _check_budget(complexes: int, k: int) -> None:
-    limit = max_scan_limit()
+def _check_budget(complexes: int, k: int, limit: int | None = None) -> None:
+    """Raise unless complexes x 2^k faces fit ``limit`` (default APERYKIT_MAX_SCAN)."""
+    if limit is None:
+        limit = max_scan_limit()
     if complexes << k > limit:
         raise ScanLimitError(f"{complexes} x 2^{k} faces exceed APERYKIT_MAX_SCAN={limit}")
 
@@ -99,19 +101,20 @@ def _face(m: int) -> Face:
     return Face(i + 1 for i in range(m.bit_length()) if m >> i & 1)
 
 
-def build_delta(S: NumericalSemigroup, a: int) -> SimplicialComplex:
+def build_delta(S: NumericalSemigroup, a: int, limit: int | None = None) -> SimplicialComplex:
     """Faces F of {1..k} with a - sum of the picked generators in S.
 
     Face {} is a in S.  Without it no face is present (a - s in S with s in
     S would put a in S); with it, all 2^k faces are read in one gather from
     the oracle's membership window on a - T .. a, T the generator sum.  The
     family is downward closed because S is closed under addition, but that
-    is verified where it matters rather than assumed here.
+    is verified where it matters rather than assumed here.  The 2^k faces
+    must fit ``limit``, read from APERYKIT_MAX_SCAN when not given.
     """
     if a < 0:
         raise ValueError("a must be nonnegative")
     k = len(S.generators)
-    _check_budget(1, k)
+    _check_budget(1, k, limit)
     if not contains(S, a):
         return SimplicialComplex(k, 0)
     window = membership_window(S, a - sum(S.generators), a)
@@ -204,13 +207,14 @@ def pf_via_homology(S: NumericalSemigroup) -> list[int]:
     if k < 2:
         raise ValueError("the homology route needs at least two generators")
     gap_list = gaps(S)
-    _check_budget(len(gap_list), k)
+    limit = max_scan_limit()
+    _check_budget(len(gap_list), k, limit)
     total = sum(S.generators)
     sphere = tuple([1 if i == k - 1 else 0 for i in range(k + 1)])
     odd = _vertex_bits(k)[0]
     out = []
     for x in gap_list:
-        complex_ = build_delta(S, x + total)
+        complex_ = build_delta(S, x + total, limit=limit)
         bits = _closed_bits(complex_)
         # reduced Euler characteristic: sum over faces of (-1)^(|F|-1)
         euler = 2 * (bits & odd).bit_count() - bits.bit_count()

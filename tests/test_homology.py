@@ -243,7 +243,9 @@ class TestEulerPretest:
         built, ranked = [], []
         real_build, real_ranks = homology.build_delta, homology.reduced_homology_ranks
         monkeypatch.setattr(
-            homology, "build_delta", lambda S, a: built.append(a) or real_build(S, a)
+            homology,
+            "build_delta",
+            lambda S, a, **kw: built.append(a) or real_build(S, a, **kw),
         )
         monkeypatch.setattr(
             homology, "reduced_homology_ranks", lambda C: ranked.append(C) or real_ranks(C)

@@ -25,6 +25,7 @@ from aperykit.affine import (
 from aperykit.apery import apery_delta, extremal_set
 from aperykit.errors import ConeMismatchError, InternalInvariantError
 from aperykit.groebner import (
+    Binomial,
     GroebnerBasis,
     buchberger,
     divides,
@@ -33,6 +34,7 @@ from aperykit.groebner import (
     in_staircase_complement,
     pack_exponent,
     phi_degree,
+    unpack_exponent,
 )
 from aperykit.orders import apery_order, block_lambda_order, lex_order
 from aperykit.sampling import random_corpus
@@ -102,16 +104,26 @@ def box_scan(basis, free_cols, degree):
     return out
 
 
+def unpacked_walk(basis, free, weights):
+    """``face_complement`` with its packed points unpacked (degrees stay packed)."""
+    m = basis.order.num_vars
+    return {d: unpack_exponent(v, m) for d, v in face_complement(basis, free, weights).items()}
+
+
 class TestFaceComplement:
     @pytest.mark.parametrize("cases", [numerical_cases, affine_cases])
     def test_equals_the_box_scan(self, cases):
         for basis, free, weights, degree in cases():
-            assert face_complement(basis, free, weights) == box_scan(basis, free, degree)
+            assert unpacked_walk(basis, free, weights) == box_scan(basis, free, degree)
 
     def test_rejects_a_face_without_a_pure_power_corner(self):
         # y1*y2 bounds neither y1 nor y2 alone: the complement is infinite
+        # (the walk reads its corners off the leads of ``elements``)
+        leads = ((0, 1, 1), (1, 0, 0))
         basis = GroebnerBasis(
-            order=lex_order(3), elements=(), corners=frozenset({(0, 1, 1), (1, 0, 0)})
+            order=lex_order(3),
+            elements=tuple(Binomial(q, (0, 0, 0)) for q in leads),
+            corners=frozenset(leads),
         )
         with pytest.raises(InternalInvariantError, match="pure-power corner"):
             face_complement(basis, [1, 2], [1, 1])
