@@ -68,7 +68,6 @@ from .semigroup import (
     contains,
     gaps,
     hasse_diagram,
-    leq_S,
     pf_bruteforce,
     selmer_invariants,
     typeset_bruteforce,

@@ -29,9 +29,9 @@ from math import gcd, lcm
 
 from .errors import ConeMismatchError, InternalInvariantError, ScanLimitError
 from .groebner import (
-    Binomial, buchberger, defining_binomials, face_complement, pack_exponent, unpack_exponent,
+    buchberger, defining_binomials, face_complement, pack_exponent, unpack_exponent,
 )
-from .orders import OrderSpec, block_lambda_order, eliminate, integer_rank
+from .orders import block_lambda_order, eliminate, integer_rank
 from .semigroup import max_scan_limit
 
 Point = tuple[int, ...]
@@ -156,22 +156,6 @@ def validate_lambda(M: AffineMonoid, indices) -> LambdaChoice:
     )
 
 
-def affine_ideal_generators(M: AffineMonoid, reordered, order: OrderSpec) -> list[Binomial]:
-    """Defining binomials y_p - x^{a_p} in the d + k variable layout."""
-    return defining_binomials(reordered, order)
-
-
-def graded_degree(v: Exponent, d: int, reordered) -> Point:
-    """Z^d degree of a monomial: x contributes itself, y_p contributes a_p."""
-    total = list(v[:d])
-    for p, a in enumerate(reordered):
-        e = v[d + p]
-        if e:
-            for c in range(d):
-                total[c] += e * a[c]
-    return tuple(total)
-
-
 def apery_affine(
     M: AffineMonoid,
     lam: LambdaChoice | None = None,
@@ -197,7 +181,7 @@ def apery_affine(
     k = len(reordered)
     n = len(lam.indices)
     order = block_lambda_order(d, reordered, n)
-    basis = buchberger(affine_ideal_generators(M, reordered, order), order)
+    basis = buchberger(defining_binomials(reordered, order), order)
     weights = [pack_exponent(a) for a in reordered[: k - n]]  # nonnegative: packed sums add
     walk = face_complement(basis, range(d, d + k - n), weights)
     m = basis.order.num_vars

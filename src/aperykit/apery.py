@@ -23,13 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import chain
 from operator import or_
 from typing import NamedTuple
 
 from .errors import InternalInvariantError, OrderNotEliminationError, ScanLimitError
 from .groebner import (
     GroebnerBasis, buchberger, face_complement, field_mask, ideal_generators, packed_degrees,
-    phi_degree, reducer_for, unpack_exponent,
+    reducer_for, unpack_exponent,
 )
 # unused here, kept bound: perfbench/spans.py counts calls through this name
 from .groebner import divides  # noqa: F401
@@ -100,9 +101,10 @@ def _require_basis_of(S: NumericalSemigroup, basis: GroebnerBasis) -> None:
         return
     if not is_elimination_for_x(basis.order):
         raise OrderNotEliminationError(f"ordering {basis.order.label!r} does not eliminate x")
-    if basis.order.num_vars != len(gens) + 1 or any(
-        phi_degree(b.lead, gens) != phi_degree(b.trail, gens) for b in basis.elements
-    ):
+    if basis.order.num_vars != len(gens) + 1:
+        raise ValueError(f"supplied basis is not {gens}-homogeneous: built for another monoid")
+    degrees = packed_degrees(chain.from_iterable(basis.pairs), gens)  # lead, trail, lead, ..
+    if degrees[::2] != degrees[1::2]:
         raise ValueError(f"supplied basis is not {gens}-homogeneous: built for another monoid")
     _last_checked = (basis, gens)
 

@@ -12,7 +12,10 @@ rewrites are two or three big-integer operations.  The top bit of each
 field acts as a borrow guard: q divides v exactly when
 ``((v | HIGH) - q) & HIGH == HIGH``.  Exponents are asserted to be far
 below the field width on entry, and rewriting never increases the
-weighted degree of a monomial, so the fields cannot overflow.  The
+weighted degree of a monomial, so the fields cannot overflow.  A reduced
+basis is held packed too: ``GroebnerBasis.pairs`` is the (lead, trail)
+pairs the loop ends with, a reducer takes them as they are, and tuple
+``elements`` and ``corners`` are unpacked only when read.  The rest of the
 public API speaks plain integer tuples, except the staircase read-off:
 ``face_complement`` returns packed points and ``packed_degrees`` reads
 their degrees, so a read-off stays packed up to the edge that prints or
@@ -40,7 +43,8 @@ from __future__ import annotations
 import heapq
 import struct
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
+from itertools import chain
 from operator import mul, or_
 
 from .errors import InternalInvariantError, LengthMismatchError
@@ -63,11 +67,36 @@ class Binomial:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced basis: elements sorted by lead, plus the staircase corners."""
+    """A reduced basis: packed ``(lead, trail)`` pairs, sorted by lead.
+
+    ``pairs`` is the whole value, as ``buchberger`` holds it.  ``elements``
+    (each pair unpacked into a tuple ``Binomial``) and ``corners`` (the set
+    of tuple leads) are views built on first read, outside equality and repr.
+    Each pair must pack ``order.num_vars`` fields below 2^62, else
+    ``ValueError``.
+    """
 
     order: OrderSpec
-    elements: tuple[Binomial, ...]
-    corners: frozenset[Exponent]
+    pairs: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        m = self.order.num_vars
+        values = list(chain.from_iterable(self.pairs))
+        # bits 62 and 63 of each field, and every bit past field m
+        spare = _high_mask(m) | _high_mask(m) >> 1 | -1 << (m * _FIELD_BITS)
+        if values and (min(values) < 0 or reduce(or_, values) & spare):
+            raise ValueError(f"basis pairs must pack {m} exponents below 2^62 each")
+
+    @cached_property
+    def elements(self) -> tuple[Binomial, ...]:
+        m = self.order.num_vars
+        return tuple(
+            Binomial(unpack_exponent(q, m), unpack_exponent(t, m)) for q, t in self.pairs
+        )
+
+    @cached_property
+    def corners(self) -> frozenset[Exponent]:
+        return frozenset(b.lead for b in self.elements)
 
 
 def divides(q: Exponent, v: Exponent) -> bool:
@@ -162,11 +191,8 @@ class PackedReducer:
 
     @classmethod
     def for_basis(cls, basis: "GroebnerBasis") -> "PackedReducer":
-        m = basis.order.num_vars
-        return cls(
-            m,
-            [(pack_exponent(b.lead), pack_exponent(b.trail)) for b in basis.elements],
-        )
+        """The reducer of ``basis``: its packed pairs as items, in basis order."""
+        return cls(basis.order.num_vars, basis.pairs)
 
     def _candidates(self, v: int) -> list[tuple[int, int]]:
         """The (lead, trail) items whose lead support lies inside packed v's."""
@@ -332,18 +358,13 @@ def buchberger(gens, order: OrderSpec, strategy: str = "fifo") -> GroebnerBasis:
 
     # a lead never divides its own trail (the trail sits strictly below
     # it), so the loop's reducer, which holds every active element, is safe
-    elements = []
+    pairs = []
     for _, g in sorted((key(unpack_exponent(leads[g], m)), g) for g in active):
         trail = reducer.reduce_packed(trails[g])
-        b = Binomial(unpack_exponent(leads[g], m), unpack_exponent(trail, m))
-        if compare(order, b.lead, b.trail) != GREATER:
+        if compare(order, unpack_exponent(leads[g], m), unpack_exponent(trail, m)) != GREATER:
             raise InternalInvariantError("reduced element lost its orientation")
-        elements.append(b)
-    return GroebnerBasis(
-        order=order,
-        elements=tuple(elements),
-        corners=frozenset(b.lead for b in elements),
-    )
+        pairs.append((leads[g], trail))
+    return GroebnerBasis(order=order, pairs=tuple(pairs))
 
 
 # (basis, its reducer) for the basis used last; see reducer_for

@@ -109,10 +109,9 @@ class NumericalSemigroup:
         table = self._table
         if n < len(table):
             return table
-        if n >= max_scan_limit():
-            raise ScanLimitError(
-                f"membership scan to {n} exceeds APERYKIT_MAX_SCAN={max_scan_limit()}"
-            )
+        limit = max_scan_limit()
+        if n >= limit:
+            raise ScanLimitError(f"membership scan to {n} exceeds APERYKIT_MAX_SCAN={limit}")
         size = max(n + 1, 2 * len(table))
         new = _membership_table(self.generators, size)
         # single attribute assignment: readers see the old or the new table
@@ -247,11 +246,6 @@ def selmer_invariants(S: NumericalSemigroup, s: int) -> InvariantReport:
     )
 
 
-def leq_S(S: NumericalSemigroup, x: int, y: int) -> bool:
-    """Divisibility-style partial order: x <=_S y iff y - x is in S."""
-    return contains(S, y - x)
-
-
 def pf_bruteforce(S: NumericalSemigroup) -> list[int]:
     """Pseudo-Frobenius numbers: x not in S with x + s in S for all nonzero s in S.
 
@@ -285,7 +279,7 @@ def typeset_bruteforce(S: NumericalSemigroup) -> list[int]:
 
 
 def hasse_diagram(S: NumericalSemigroup, s: int) -> list[tuple[int, int]]:
-    """Covering relations of <=_S restricted to Ap(S, s), as (lower, upper) pairs.
+    """Covering relations of <=_S (x <=_S y iff y - x in S) on Ap(S, s), as (lower, upper) pairs.
 
     The covers are the pairs (x, x + a) with a a generator and x + a in
     Ap(S, s): Ap(S, s) is downward closed under <=_S, and a minimal

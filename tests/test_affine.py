@@ -8,11 +8,19 @@ from aperykit.affine import (
     AffineMonoid,
     affine_members_bruteforce,
     apery_affine,
-    graded_degree,
     validate_lambda,
 )
 from aperykit.errors import ConeMismatchError
 from aperykit.semigroup import apery_bruteforce
+
+
+def graded_degree(v, d, reordered):
+    """Z^d degree of a monomial: x contributes itself, y_p contributes a_p."""
+    total = list(v[:d])
+    for p, a in enumerate(reordered):
+        for c in range(d):
+            total[c] += v[d + p] * a[c]
+    return tuple(total)
 
 
 class TestAffineMonoid:

@@ -197,7 +197,7 @@ class TestStaircase:
     def test_empty_corner_set_renders_all_complement(self):
         from aperykit.groebner import GroebnerBasis
 
-        basis = GroebnerBasis(order=lex_order(4), elements=(), corners=frozenset())
+        basis = GroebnerBasis(order=lex_order(4), pairs=())
         text = render_staircase(basis, {0: 0, 3: 0}, (1, 2), (3, 3))
         assert "#" not in text
 

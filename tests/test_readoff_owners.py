@@ -11,7 +11,7 @@ import dataclasses
 import pytest
 
 import aperykit.apery as apery_module
-from aperykit.affine import AffineMonoid, affine_ideal_generators, validate_lambda
+from aperykit.affine import AffineMonoid, validate_lambda
 from aperykit.apery import apery_delta, extremal_set, type_set
 from aperykit.groebner import (
     Binomial,
@@ -48,8 +48,7 @@ class TestDefiningBinomials:
         M = AffineMonoid(2, ((2, 0), (1, 1), (0, 2)))
         lam = validate_lambda(M, (0, 2))
         order = block_lambda_order(2, lam.reordered, 2)
-        got = affine_ideal_generators(M, lam.reordered, order)
-        assert got == defining_binomials(lam.reordered, order)
+        got = defining_binomials(lam.reordered, order)
         # x_1^1 x_2^1 -> y_1, then x_1^2 -> y_2 and x_2^2 -> y_3 (Lambda last)
         assert got == [
             Binomial((1, 1, 0, 0, 0), (0, 0, 1, 0, 0)),
@@ -62,9 +61,7 @@ class TestDefiningBinomials:
             M = AffineMonoid(1, tuple((a,) for a in S.generators))
             k = len(S.generators)
             for order in (lex_order(k + 1), apery_order(k, 1, S.generators)):
-                assert affine_ideal_generators(M, M.generators, order) == ideal_generators(
-                    S, order
-                )
+                assert defining_binomials(M.generators, order) == ideal_generators(S, order)
 
 
 class TestReportBasis:

@@ -16,18 +16,16 @@ from hypothesis import strategies as st
 
 from aperykit.affine import (
     AffineMonoid,
-    affine_ideal_generators,
     affine_members_bruteforce,
     apery_affine,
-    graded_degree,
     validate_lambda,
 )
 from aperykit.apery import apery_delta, extremal_set
 from aperykit.errors import ConeMismatchError, InternalInvariantError
 from aperykit.groebner import (
-    Binomial,
     GroebnerBasis,
     buchberger,
+    defining_binomials,
     divides,
     face_complement,
     ideal_generators,
@@ -39,6 +37,8 @@ from aperykit.groebner import (
 from aperykit.orders import apery_order, block_lambda_order, lex_order
 from aperykit.sampling import random_corpus
 from aperykit.semigroup import NumericalSemigroup
+
+from .test_affine import graded_degree
 
 SEED = 6151
 
@@ -75,9 +75,8 @@ def affine_cases():
             if any(g) and g not in axes:
                 others.add(g)
         reordered = tuple(sorted(others)) + tuple(axes)
-        M = AffineMonoid(d, reordered)
         order = block_lambda_order(d, reordered, d)
-        basis = buchberger(affine_ideal_generators(M, reordered, order), order)
+        basis = buchberger(defining_binomials(reordered, order), order)
         free = list(range(d, d + len(others)))
         weights = [pack_exponent(a) for a in reordered[: len(others)]]
         out.append((
@@ -118,13 +117,9 @@ class TestFaceComplement:
 
     def test_rejects_a_face_without_a_pure_power_corner(self):
         # y1*y2 bounds neither y1 nor y2 alone: the complement is infinite
-        # (the walk reads its corners off the leads of ``elements``)
+        # (the walk reads its corners off the packed leads of ``pairs``)
         leads = ((0, 1, 1), (1, 0, 0))
-        basis = GroebnerBasis(
-            order=lex_order(3),
-            elements=tuple(Binomial(q, (0, 0, 0)) for q in leads),
-            corners=frozenset(leads),
-        )
+        basis = GroebnerBasis(order=lex_order(3), pairs=tuple((pack_exponent(q), 0) for q in leads))
         with pytest.raises(InternalInvariantError, match="pure-power corner"):
             face_complement(basis, [1, 2], [1, 1])
 
