@@ -218,6 +218,9 @@ def apery_delta(
         points = face_complement(basis, free_cols, [gens[c - 1] for c in free_cols])
     aj = gens[j - 1]
     elements = tuple(sorted(points))
+    limit = max_scan_limit()
+    if elements[-1] > limit:  # where the scan stops, so both methods read one budget
+        raise ScanLimitError(f"Apery scan exceeded APERYKIT_MAX_SCAN={limit}")
     _check_report_invariants(gens, aj, elements, points, j)
     return AperyReport(
         generators=gens,

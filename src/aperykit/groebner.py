@@ -31,11 +31,12 @@ Standardness is read off the basis's own reducer
 sides are rewritten packed by the loop's own reducer, the lead is chosen
 with one ``compare``, and elements whose lead a newer lead divides are
 always retired, so the leads stay an antichain and no separate
-interreduction pass is needed.  The loop's reducer is private to it and
-keeps its per-support lead lists across inserts: ``retire`` prunes and
-``append`` extends them in place, so no insert rebuilds them.  Pairs are
-always pruned by the coprime and chain criteria; a reduced basis is
-unique, so pruning changes only time.
+interreduction pass is needed.  The loop holds only its leads, a heap of
+queued pairs and its own reducer, the one store of unretired elements,
+whose per-support lead lists ``retire`` prunes and ``append`` extends in
+place.  Pairs are always pruned by the coprime and chain criteria, the
+chain check against later leads running when a pair is popped; a reduced
+basis is unique, so pruning changes only time.
 """
 
 from __future__ import annotations
@@ -249,7 +250,11 @@ def buchberger(gens, order: OrderSpec, strategy: str = "fifo") -> GroebnerBasis:
     from reductions and new pairs (Gebauer & Moeller, JSC 6, 1988), so the
     leads stay an antichain and the last step only rewrites the trails.
 
-    ``strategy`` picks the pending S-pair: "fifo" (the default) takes
+    The loop holds ``leads`` (every lead ever added), a heap of queued
+    pairs carrying their lcm and both elements, and its own reducer, the
+    only store of the unretired elements, in creation order.
+
+    ``strategy`` picks the queued S-pair: "fifo" (the default) takes
     pairs in creation order, "normal" takes the pair with the smallest
     lead-lcm (ties broken by creation order).  The reduced result is unique
     per (ideal, order), so the strategies agree; the test suite asserts
@@ -257,7 +262,9 @@ def buchberger(gens, order: OrderSpec, strategy: str = "fifo") -> GroebnerBasis:
 
     Pairs with coprime leads always reduce to zero and are never queued,
     and the chain criterion drops a pair when a third lead divides its
-    lcm.  Elimination orderings on these ideals walk long staircase
+    lcm: among a new lead's pairs as they are queued, and at pop time
+    against each lead added since, retired ones too, that splits it
+    strictly.  Elimination orderings on these ideals walk long staircase
     cascades.  There the selection strategy, not this pruning, separates
     milliseconds from minutes: "normal" walks the cascades and "fifo"
     mostly does not, while the chain criterion saves a constant factor
@@ -273,10 +280,9 @@ def buchberger(gens, order: OrderSpec, strategy: str = "fifo") -> GroebnerBasis:
     key = order.key
 
     leads: list[int] = []
-    trails: list[int] = []
-    active: list[int] = []  # indices of the unretired elements, ascending
-    heap: list = []  # (rank, j, i) for the pair of elements i < j
-    pending: dict[tuple[int, int], int] = {}  # (j, i) -> lcm of the leads
+    # (rank, h, p, lcm, a, ta, u, v): the pair of the reducer's item
+    # (a, ta) at position p and the newer element (u, v), lead h
+    heap: list = []
     reducer = PackedReducer(m, [])
 
     # fields stay below the guard bit: lcm(a, b) == a + b iff a, b are coprime
@@ -291,54 +297,36 @@ def buchberger(gens, order: OrderSpec, strategy: str = "fifo") -> GroebnerBasis:
             return
         if compare(order, unpack_exponent(u, m), unpack_exponent(v, m)) != GREATER:
             u, v = v, u
-        h = len(leads)
         # one candidate pair per distinct lcm value, coprime preferred
         # (a coprime pair shields its peers and is then dropped itself);
-        # the same pass finds the elements whose lead u divides
+        # the same pass sees whether u divides some lead
         best: dict[int, tuple[bool, int]] = {}
-        kept_active = []
-        for g in active:
-            a = leads[g]
+        retire = False
+        for p, (a, _, _) in enumerate(reducer.items):
             ge = ((a | high) - u) & high  # guard bits of the fields where a >= u
             sel = (ge >> _GUARD) * field_ones
             lc = (a & sel) | (u & (ones ^ sel))
             coprime = lc == a + u
             if lc not in best or (coprime and not best[lc][0]):
-                best[lc] = (coprime, g)
-            if ge != high:
-                kept_active.append(g)
+                best[lc] = (coprime, p)
+            retire |= ge == high
         # divisibility implies numerically-smaller packed value, so one
         # ascending sweep sees every potential dominator before its prey
         kept_lcms: list[int] = []
-        new_pairs = []
         for lc in sorted(best):
             for q in kept_lcms:
                 if ((lc | high) - q) & high == high:
                     break
             else:
                 kept_lcms.append(lc)
-                coprime, g = best[lc]
+                coprime, p = best[lc]
                 if not coprime:
-                    new_pairs.append((g, lc))
-        new_pairs.sort()
-        # old pairs whose lcm the new lead splits strictly are redundant
-        for pair in [
-            (j, i) for (j, i), lc in pending.items()
-            if ((lc | high) - u) & high == high
-            and lcm(leads[i], u) != lc and lcm(leads[j], u) != lc
-        ]:
-            del pending[pair]
-        for g, lc in new_pairs:
-            pending[(h, g)] = lc
-            heapq.heappush(heap, (key(unpack_exponent(lc, m)) if normal else (), h, g))
-        # retire elements whose lead the new one divides (the reducer mirrors
-        # ``active``); before the append, since u divides itself
-        if len(kept_active) < len(active):
-            active[:] = kept_active
+                    rank = key(unpack_exponent(lc, m)) if normal else ()
+                    heapq.heappush(heap, (rank, len(leads), p, lc, *reducer.items[p][:2], u, v))
+        # retire elements whose lead u divides; before the append, since u divides itself
+        if retire:
             reducer.retire(u)
         leads.append(u)
-        trails.append(v)
-        active.append(h)
         reducer.append(u, v)
 
     for b in gens:
@@ -349,21 +337,24 @@ def buchberger(gens, order: OrderSpec, strategy: str = "fifo") -> GroebnerBasis:
             )
         insert(pack_exponent(lead), pack_exponent(trail))
 
-    while pending:
-        _, j, i = heapq.heappop(heap)
-        lc = pending.pop((j, i), None)
-        if lc is None:
-            continue  # pruned after queueing
-        insert(lc + trails[i] - leads[i], lc + trails[j] - leads[j])
+    while heap:
+        _, h, _, lc, a, ta, u, v = heapq.heappop(heap)
+        # a later lead that divides the lcm and splits it strictly from
+        # both leads makes the pair redundant
+        if not any(
+            ((lc | high) - w) & high == high and lcm(a, w) != lc and lcm(u, w) != lc
+            for w in leads[h + 1:]
+        ):
+            insert(lc + ta - a, lc + v - u)
 
     # a lead never divides its own trail (the trail sits strictly below
-    # it), so the loop's reducer, which holds every active element, is safe
+    # it), so the loop's reducer, which holds every unretired element, is safe
     pairs = []
-    for _, g in sorted((key(unpack_exponent(leads[g], m)), g) for g in active):
-        trail = reducer.reduce_packed(trails[g])
-        if compare(order, unpack_exponent(leads[g], m), unpack_exponent(trail, m)) != GREATER:
+    for q, t, _ in sorted(reducer.items, key=lambda item: key(unpack_exponent(item[0], m))):
+        t = reducer.reduce_packed(t)
+        if compare(order, unpack_exponent(q, m), unpack_exponent(t, m)) != GREATER:
             raise InternalInvariantError("reduced element lost its orientation")
-        pairs.append((leads[g], trail))
+        pairs.append((q, t))
     return GroebnerBasis(order=order, pairs=tuple(pairs))
 
 

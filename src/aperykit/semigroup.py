@@ -96,6 +96,11 @@ class NumericalSemigroup:
             raise ValueError(f"generators must be strictly increasing, got {gens}")
         if math.gcd(*gens) != 1:
             raise ValueError(f"gcd of generators must be 1, got {gens}")
+        # the minimality check's tables reach a_k; a cap below the default still builds
+        if gens[-1] > _DEFAULT_MAX_SCAN:
+            limit = max(max_scan_limit(), _DEFAULT_MAX_SCAN)
+            if gens[-1] > limit:
+                raise ScanLimitError(f"generator {gens[-1]} exceeds the scan bound {limit}")
         for i, a in enumerate(gens):
             others = gens[:i] + gens[i + 1 :]
             if others and _membership_table(others, a + 1)[a]:

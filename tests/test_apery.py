@@ -135,6 +135,26 @@ class TestAperyDelta:
             assert scan.elements == direct.elements
             assert scan.representations == direct.representations
 
+    def test_direct_and_scan_read_one_budget(self, small_corpus, monkeypatch):
+        # around max Ap the scan's cap trips; the direct walk must trip with it
+        def outcome(S, j, basis, method):
+            try:
+                return apery_delta(S, j, method=method, basis=basis).elements
+            except ScanLimitError as exc:
+                return str(exc)
+
+        for n, S in enumerate(small_corpus[:6]):
+            monkeypatch.delenv("APERYKIT_MAX_SCAN", raising=False)
+            j = n % len(S.generators) + 1
+            order = apery_order(len(S.generators), j, S.generators)
+            basis = buchberger(ideal_generators(S, order), order)
+            top = max(apery_bruteforce(S, S.generators[j - 1]))
+            for limit in range(max(top - 3, 1), top + 4):
+                monkeypatch.setenv("APERYKIT_MAX_SCAN", str(limit))
+                direct = outcome(S, j, basis, "direct")
+                assert direct == outcome(S, j, basis, "scan")
+                assert isinstance(direct, str) == (top > limit)
+
     def test_matches_oracle_for_every_generator(self, small_corpus):
         for S in small_corpus[:10]:
             for j in range(1, len(S.generators) + 1):

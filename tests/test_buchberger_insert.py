@@ -126,6 +126,44 @@ def test_wrong_length_raises_even_after_valid_inputs():
         buchberger(inputs + [Binomial((1, 0), (0, 1))], order)
 
 
+# reduce_packed calls of one buchberger run, as (fifo, normal), under
+# lex_order(k + 1), apery_order(k, k) and apery_order(k, 1, revlex): the
+# pair criteria decide which S-pairs get rewritten, so these pin them
+REDUCE_COUNTS = {
+    (7, 9, 11): [(101, 213), (54, 78), (54, 64)],
+    (7, 8, 9, 13): [(155, 423), (90, 126), (76, 134)],
+    (5, 7, 9, 11): [(155, 665), (83, 197), (65, 105)],
+}
+
+
+@pytest.mark.parametrize("gens", list(REDUCE_COUNTS))
+def test_buchberger_does_pinned_work(gens, monkeypatch):
+    calls = [0]
+    reduce_packed = PackedReducer.reduce_packed
+
+    def counted(self, v):
+        calls[0] += 1
+        return reduce_packed(self, v)
+
+    monkeypatch.setattr(PackedReducer, "reduce_packed", counted)
+    S = NumericalSemigroup(gens)
+    k = len(gens)
+    orders = [
+        lex_order(k + 1),
+        apery_order(k, k, gens),
+        apery_order(k, 1, gens, flavor="revlex"),
+    ]
+    counts = []
+    for order in orders:
+        pair = []
+        for strategy in ("fifo", "normal"):
+            calls[0] = 0
+            buchberger(ideal_generators(S, order), order, strategy=strategy)
+            pair.append(calls[0])
+        counts.append(tuple(pair))
+    assert counts == REDUCE_COUNTS[gens]
+
+
 def random_ideal(rng, m):
     """A few binomials with small exponents, in random orientation."""
     def monomial():

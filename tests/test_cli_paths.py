@@ -94,6 +94,27 @@ def test_extent_is_bounded_by_the_scan_limit(capsys, monkeypatch):
     assert code == 0 and len(json.loads(out)["grid"]) == 10
 
 
+def test_generators_past_the_scan_bound_exit_1(capsys):
+    gens = ("--gens", "99999999999,100000000000")
+    code, out, err = run(capsys, "analyze", *gens, "--format", "json")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "generator 100000000000 exceeds the scan bound 10000000",
+        "kind": "user",
+    }
+    code, _, err = run(capsys, "apery", "--gens", "3,5,99999999999999999999", "--wrt", "3")
+    assert code == 1 and "exceeds the scan bound" in err
+
+
+def test_direct_readoff_reads_the_scan_budget(capsys, monkeypatch):
+    monkeypatch.setenv("APERYKIT_MAX_SCAN", "1000")
+    gens = ("--gens", "1009,1201,1307,1409,1511,1613,1709,1801,1901", "--wrt", "1901")
+    for strategy in ("direct", "scan"):
+        code, out, err = run(capsys, "apery", *gens, "--strategy", strategy, "--format", "json")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "Apery scan exceeded APERYKIT_MAX_SCAN=1000"
+
+
 def test_render_staircase_rejects_bad_extents(monkeypatch):
     basis = lex_basis(NumericalSemigroup([7, 9, 11]))
     with pytest.raises(ValueError, match="extent must be positive"):

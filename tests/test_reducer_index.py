@@ -84,7 +84,7 @@ def test_appends_extend_only_the_lists_that_hold_the_support():
 
 
 def test_buchberger_reducer_holds_exactly_the_basis(monkeypatch):
-    """The loop's reducer mirrors the active elements through every insert."""
+    """The loop's reducer, its only store of unretired elements, stays indexed."""
     seen = []
     append = PackedReducer.append
 

@@ -261,6 +261,17 @@ class TestScanGuard:
         with pytest.raises(ScanLimitError):
             gaps(S)
 
+    @pytest.mark.parametrize(
+        "gens", [(99999999999, 100000000000), (3, 5, 99999999999999999999), (2, 10**7 + 1)]
+    )
+    def test_constructor_refuses_generators_past_the_scan_bound(self, gens, monkeypatch):
+        from aperykit.errors import ScanLimitError
+
+        # the bound is the larger of the env cap and its default
+        monkeypatch.setenv("APERYKIT_MAX_SCAN", "50")
+        with pytest.raises(ScanLimitError, match="exceeds the scan bound 10000000"):
+            NumericalSemigroup(gens)
+
     def test_env_cap_validation(self, monkeypatch):
         from aperykit.semigroup import max_scan_limit
 
